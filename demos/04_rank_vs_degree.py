@@ -17,7 +17,10 @@ from tuckercheb.tensor import hosvd_truncated
 
 def main():
     tol = 1e-10
-    grid = 120
+    # the first off-corner point of a 257 grid lies 7.5e-5 from the corner,
+    # inside the eps = 1e-4 layer where the rank grows; a coarser grid
+    # misses that layer and prints an aliased rank (see `study rankdeg`)
+    grid = 257
     pts = cheb_points(grid)
     X, Y, Z = pts[:, None, None], pts[None, :, None], pts[None, None, :]
 

@@ -21,7 +21,7 @@ from .cross import aca, build_oblique, deim
 from .funcexpr import eval_expr, parse
 from .oracle import InstrumentedOracle
 from .serialize import deserialize, serialize
-from .tensor import hosvd_truncated, matricize, mode_mult, norm_frob, norm_inf, subtensor
+from .tensor import hosvd_truncated, matricize, mode_mult, subtensor
 
 __all__ = [
     "CATALOG",
@@ -44,8 +44,6 @@ __all__ = [
     "is_resolved",
     "matricize",
     "mode_mult",
-    "norm_frob",
-    "norm_inf",
     "parse",
     "refine_size",
     "serialize",

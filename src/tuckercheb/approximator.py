@@ -8,6 +8,12 @@ resolved ones are extended by their own interpolant.  Phase 3
 orthonormalizes the factors, picks interpolation rows by DEIM, samples
 the r1*r2*r3 core entries, and verifies the result at Halton points,
 restarting on coarser-than-needed grids.
+
+The fixed choices of the method are module constants: a 17^3 initial
+coarse grid (COARSE_DIMS), initial rank guesses of 6 per mode
+(RANK_GUESSES), coarse-grid growth when a rank exceeds 1/(2*sqrt(2)) of
+its grid size (RANK_RATIO_THRESHOLD), 30 Halton verification points
+(HALTON_COUNT) and acceptance at 10*tol*vscale (ACCEPTANCE_FACTOR).
 """
 
 import math
@@ -28,27 +34,26 @@ from .cross import DegenerateInputError, aca, build_oblique
 from .oracle import InstrumentedOracle
 from .tensor import matricize, subtensor
 
+COARSE_DIMS = (17, 17, 17)
+RANK_GUESSES = (6, 6, 6)
 RANK_RATIO_THRESHOLD = 1.0 / (2.0 * math.sqrt(2.0))
+HALTON_COUNT = 30
+ACCEPTANCE_FACTOR = 10.0
+MAX_COARSE_SIZE = 2000
+MAX_RANK = 512
 
 
 @dataclass
 class ConstructorConfig:
     tol: float = 1e-12
-    coarse_dims: tuple = (17, 17, 17)
-    rank_guesses: tuple = (6, 6, 6)
-    rank_ratio_threshold: float = RANK_RATIO_THRESHOLD
-    halton_count: int = 30
-    acceptance_factor: float = 10.0
+    seed: int = 0
     max_restarts: int = 5
     max_fine_size: int = 2**14 + 1
-    max_coarse_size: int = 2000
-    max_rank: int = 512
-    seed: int = 0
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.halton_count < 1 or self.max_restarts < 0:
+        if self.max_restarts < 0:
             raise ValueError("bad sampling configuration")
 
 
@@ -79,17 +84,12 @@ class TuckerApproximant:
         return tuple(a.shape[0] for a in self.coeffs)
 
     def evaluate(self, x, y, z):
-        u = np.atleast_1d(eval_series(self.coeffs[0], x))
-        v = np.atleast_1d(eval_series(self.coeffs[1], y))
-        w = np.atleast_1d(eval_series(self.coeffs[2], z))
-        return float(np.einsum("ijk,i,j,k", self.core, u, v, w))
+        return float(self.evaluate_many([[x, y, z]])[0])
 
     def evaluate_many(self, pts):
         """Evaluate at an (m, 3) array of points, returning shape (m,)."""
         pts = np.asarray(pts, dtype=float)
-        u = np.atleast_2d(eval_series(self.coeffs[0], pts[:, 0]))
-        v = np.atleast_2d(eval_series(self.coeffs[1], pts[:, 1]))
-        w = np.atleast_2d(eval_series(self.coeffs[2], pts[:, 2]))
+        u, v, w = (np.atleast_2d(eval_series(a, pts[:, k])) for k, a in enumerate(self.coeffs))
         return np.einsum("ijk,im,jm,km->m", self.core, u, v, w)
 
 
@@ -120,7 +120,7 @@ def grow_size(n):
     return int(math.floor(math.sqrt(2.0) ** math.floor(2.0 * math.log2(n) + 1.0))) + 1
 
 
-def _aca_on_matrix(m, tol_rel, max_rank):
+def _aca_on_matrix(m, tol_rel):
     """ACA with tolerance relative to the initial residual maximum.
 
     Falls back to a single first-row/first-column cross if the sampled
@@ -130,7 +130,7 @@ def _aca_on_matrix(m, tol_rel, max_rank):
     m0 = float(np.max(np.abs(m))) if m.size else 0.0
     if m0 == 0.0:
         return [0], [0]
-    res = aca(m, tol_abs=tol_rel * m0, max_rank=max_rank)
+    res = aca(m, tol_abs=tol_rel * m0, max_rank=MAX_RANK)
     if res.rank == 0:
         return [0], [0]
     return res.row_indices, res.col_indices
@@ -157,33 +157,30 @@ def phase1_factors(oracle, cfg, dims, guesses, rng):
     guesses = tuple(guesses)
     first_probe = True
     while True:
-        n1, n2, n3 = dims
         pts = [cheb_points(n) for n in dims]
-        J = list(rng.choice(n2, size=min(guesses[1], n2), replace=False))
-        K = list(rng.choice(n3, size=min(guesses[2], n3), replace=False))
-        I = []
+        idx = [[]] + [
+            list(rng.choice(n, size=min(g, n), replace=False)) for n, g in zip(dims[1:], guesses[1:])
+        ]
         grown = False
         fibers = [None, None, None]
         for _ in range(2):
-            m1 = matricize(subtensor(oracle, dims, range(n1), J, K), 1)
-            if first_probe:
-                first_probe = False
-                if oracle.vscale == 0.0:
-                    return None
-            I, cols = _aca_on_matrix(m1, cfg.tol, cfg.max_rank)
-            fibers[0] = ModeFibers(1, m1[:, cols], _col_coords(cols, J, pts[1], K, pts[2]))
+            for a in range(3):
+                # the unfolding's columns run over the other modes b < c, b fastest
+                b, c = (m for m in range(3) if m != a)
+                sel = list(idx)
+                sel[a] = range(dims[a])
+                mat = matricize(subtensor(oracle, dims, *sel), a + 1)
+                if first_probe:
+                    first_probe = False
+                    if oracle.vscale == 0.0:
+                        return None
+                idx[a], cols = _aca_on_matrix(mat, cfg.tol)
+                coords = _col_coords(cols, idx[b], pts[b], idx[c], pts[c])
+                fibers[a] = ModeFibers(a + 1, mat[:, cols], coords)
 
-            m2 = matricize(subtensor(oracle, dims, I, range(n2), K), 2)
-            J, cols = _aca_on_matrix(m2, cfg.tol, cfg.max_rank)
-            fibers[1] = ModeFibers(2, m2[:, cols], _col_coords(cols, I, pts[0], K, pts[2]))
-
-            m3 = matricize(subtensor(oracle, dims, I, J, range(n3)), 3)
-            K, cols = _aca_on_matrix(m3, cfg.tol, cfg.max_rank)
-            fibers[2] = ModeFibers(3, m3[:, cols], _col_coords(cols, I, pts[0], J, pts[1]))
-
-            ranks = (len(I), len(J), len(K))
-            if any(r / n > cfg.rank_ratio_threshold for r, n in zip(ranks, dims)):
-                new_dims = tuple(min(grow_size(n), cfg.max_coarse_size) for n in dims)
+            ranks = tuple(len(i) for i in idx)
+            if any(r / n > RANK_RATIO_THRESHOLD for r, n in zip(ranks, dims)):
+                new_dims = tuple(min(grow_size(n), MAX_COARSE_SIZE) for n in dims)
                 if new_dims != dims:
                     dims = new_dims
                     guesses = tuple(max(r, 1) for r in ranks)
@@ -193,7 +190,7 @@ def phase1_factors(oracle, cfg, dims, guesses, rng):
                 break
         if grown:
             continue
-        return fibers, dims, (len(I), len(J), len(K))
+        return fibers, dims, ranks
 
 
 def phase2_refine(oracle, mode_fibers, dims, cfg):
@@ -235,12 +232,9 @@ def phase2_refine(oracle, mode_fibers, dims, cfg):
             var = np.tile(newpts, k)
             fa = np.repeat(a[todo], m)
             fb = np.repeat(b[todo], m)
-            if mf.mode == 1:
-                sampled = oracle.eval_points(var, fa, fb)
-            elif mf.mode == 2:
-                sampled = oracle.eval_points(fa, var, fb)
-            else:
-                sampled = oracle.eval_points(fa, fb, var)
+            args = [fa, fb]
+            args.insert(mf.mode - 1, var)
+            sampled = oracle.eval_points(*args)
             grown[1::2, todo] = sampled.reshape(k, m).T
             vals = grown
             n = n_new
@@ -270,19 +264,16 @@ def phase3_core(oracle, fine_fibers, fine_dims, cfg):
         factor_coeffs.append(vals_to_coeffs(factor))
         deim_rows.append(proj.interp_rows)
         mixing_norms.append(proj.mixing_norm)
-    grids = [cheb_points(n) for n in fine_dims]
-    core = oracle.eval_grid(
-        grids[0][deim_rows[0]], grids[1][deim_rows[1]], grids[2][deim_rows[2]]
-    )
+    core = subtensor(oracle, fine_dims, *deim_rows)
     approx = TuckerApproximant(core=core, coeffs=tuple(factor_coeffs))
     diag = {"deim_rows": deim_rows, "mixing_norms": mixing_norms}
     return approx, diag
 
 
-def _modified_guesses(ranks, cfg):
+def _modified_guesses(ranks):
     # collapsed modes restart small; the rest get room to grow
     return tuple(
-        3 if r <= 2 else min(max(6, 2 * r), cfg.max_rank) for r in ranks
+        3 if r <= 2 else min(max(6, 2 * r), MAX_RANK) for r in ranks
     )
 
 
@@ -291,30 +282,6 @@ def _eval_stats(oracle):
     for name, (total, distinct) in oracle.counts.items():
         phases[name] = {"total": total, "distinct": distinct}
     return phases
-
-
-def _zero_approximant(oracle, cfg):
-    approx = TuckerApproximant(
-        core=np.zeros((1, 1, 1)), coeffs=(np.zeros((1, 1)),) * 3
-    )
-    approx.stats = {
-        "schema_version": 1,
-        "tol": cfg.tol,
-        "seed": cfg.seed,
-        "ranks": [1, 1, 1],
-        "degrees": [1, 1, 1],
-        "coarse_dims": list(cfg.coarse_dims),
-        "restarts": 0,
-        "vscale": 0.0,
-        "halton_error": 0.0,
-        "certified": True,
-        "unresolved_modes": [],
-        "mixing_norms": [1.0, 1.0, 1.0],
-        "evals": _eval_stats(oracle),
-        "total_calls": oracle.total_calls,
-        "distinct_points": oracle.distinct_points,
-    }
-    return approx
 
 
 def build(f, config=None, vectorized=True):
@@ -328,8 +295,8 @@ def build(f, config=None, vectorized=True):
     oracle = InstrumentedOracle(f, vectorized=vectorized)
     rng = np.random.default_rng(cfg.seed)
 
-    dims = tuple(cfg.coarse_dims)
-    guesses = tuple(cfg.rank_guesses)
+    dims = COARSE_DIMS
+    guesses = RANK_GUESSES
     restarts = 0
     best = None  # (err, approx, detail)
 
@@ -337,7 +304,10 @@ def build(f, config=None, vectorized=True):
         oracle.set_phase("phase1")
         p1 = phase1_factors(oracle, cfg, dims, guesses, rng)
         if p1 is None:
-            return _zero_approximant(oracle, cfg)
+            zero = TuckerApproximant(core=np.zeros((1, 1, 1)), coeffs=(np.zeros((1, 1)),) * 3)
+            detail = {"coarse_dims": list(dims), "unresolved": [], "mixing_norms": [1.0] * 3}
+            best = (0.0, zero, detail)
+            break
         mode_fibers, dims, ranks = p1
 
         oracle.set_phase("phase2")
@@ -350,12 +320,11 @@ def build(f, config=None, vectorized=True):
             oracle.set_phase("phase3_core")
             approx, diag = phase3_core(oracle, fine_fibers, fine_dims, cfg)
             oracle.set_phase("verify")
-            pts = halton_points(cfg.halton_count)
+            pts = halton_points(HALTON_COUNT)
             fvals = oracle.eval_points(pts[:, 0], pts[:, 1], pts[:, 2])
             err = float(np.max(np.abs(fvals - approx.evaluate_many(pts))))
             detail = {
                 "coarse_dims": list(dims),
-                "fine_dims": list(fine_dims),
                 "unresolved": list(unresolved),
                 "mixing_norms": diag["mixing_norms"],
             }
@@ -367,13 +336,13 @@ def build(f, config=None, vectorized=True):
 
         certified = (
             approx is not None
-            and err <= cfg.acceptance_factor * cfg.tol * oracle.vscale
+            and err <= ACCEPTANCE_FACTOR * cfg.tol * oracle.vscale
         )
         if certified or restarts >= cfg.max_restarts:
             break
         restarts += 1
-        guesses = _modified_guesses(ranks, cfg)
-        dims = tuple(min(grow_size(n), cfg.max_coarse_size) for n in dims)
+        guesses = _modified_guesses(ranks)
+        dims = tuple(min(grow_size(n), MAX_COARSE_SIZE) for n in dims)
 
     if best is None:
         raise DegenerateInputError("every construction attempt failed in phase 3")
@@ -388,7 +357,7 @@ def build(f, config=None, vectorized=True):
         "restarts": restarts,
         "vscale": oracle.vscale,
         "halton_error": err,
-        "certified": bool(err <= cfg.acceptance_factor * cfg.tol * oracle.vscale),
+        "certified": bool(err <= ACCEPTANCE_FACTOR * cfg.tol * oracle.vscale),
         "unresolved_modes": detail["unresolved"],
         "mixing_norms": detail["mixing_norms"],
         "evals": _eval_stats(oracle),

@@ -24,16 +24,10 @@ def cheb_points(n):
         raise ValueError(f"need at least one point, got n={n}")
     if n == 1:
         return np.zeros(1)
-    pts = np.empty(n)
+    num = n - 1 - 2 * np.arange(n)
     den = 2 * (n - 1)
-    for j in range(n):
-        num = n - 1 - 2 * j
-        g = math.gcd(abs(num), den)
-        if g == 0:
-            pts[j] = 0.0
-        else:
-            pts[j] = math.sin(math.pi * (num // g) / (den // g))
-    return pts
+    g = np.gcd(num, den)
+    return np.sin(math.pi * (num // g) / (den // g))
 
 
 def vals_to_coeffs(values):

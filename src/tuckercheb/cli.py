@@ -19,10 +19,10 @@ import time
 
 import numpy as np
 
-from . import catalog, funcexpr
-from .approximator import ConstructorConfig, build
-from .chebyshev import cheb_points, chop_series, is_resolved, refine_size, vals_to_coeffs
-from .oracle import SamplingError
+from . import catalog, chebyshev, funcexpr
+from .approximator import ConstructorConfig, ModeFibers, build, phase2_refine
+from .chebyshev import cheb_points, chop_series, vals_to_coeffs
+from .oracle import InstrumentedOracle, SamplingError
 from .serialize import FormatError, deserialize, serialize
 from .tensor import hosvd_truncated
 
@@ -155,24 +155,23 @@ def cmd_eval(args):
     return OK
 
 
-def fiber_degree(fn, tol, max_size=2**14 + 1):
+def fiber_degree(fn, tol):
     """Max Chebyshev degree over a few representative mode-1 fibers.
 
-    Each fiber grid is doubled (2n-1) until the coefficient tail is
-    resolved at tol relative to the fiber scale, then chopped.
+    Each fiber is refined from 17 points by the constructor's phase 2
+    until its coefficient tail is resolved at tol relative to the fiber
+    scale, then chopped.
     """
+    cfg = ConstructorConfig(tol=tol)
+    # not through cli.cheb_points, which sets only the study's HOSVD grid
+    x = chebyshev.cheb_points(17)
     best = 0
     for yz in ((-1.0, -1.0), (0.0, 0.0), (1.0, 1.0)):
-        n = 17
-        while True:
-            x = cheb_points(n)
-            vals = np.asarray(fn(x, np.full(n, yz[0]), np.full(n, yz[1])), dtype=float)
-            vscale = float(np.max(np.abs(vals)))
-            coeffs = vals_to_coeffs(vals)
-            if is_resolved(coeffs, tol, vscale) or n >= max_size:
-                best = max(best, chop_series(coeffs, tol, vscale).size - 1)
-                break
-            n = refine_size(n)
+        oracle = InstrumentedOracle(fn)
+        vals = oracle.eval_points(x, np.full(x.size, yz[0]), np.full(x.size, yz[1]))
+        fine, _, _ = phase2_refine(oracle, [ModeFibers(1, vals[:, None], [yz])], (x.size,), cfg)
+        coeffs = vals_to_coeffs(fine[0].values[:, 0])
+        best = max(best, chop_series(coeffs, tol, oracle.vscale).size - 1)
     return best
 
 

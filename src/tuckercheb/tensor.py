@@ -47,12 +47,6 @@ def mode_mult(t, m, mode):
     return dematricize(m @ matricize(t, mode), dims, mode)
 
 
-def norm_inf(t):
-    """Max absolute entry."""
-    t = np.asarray(t)
-    return 0.0 if t.size == 0 else float(np.max(np.abs(t)))
-
-
 def norm_frob(t):
     """Frobenius norm."""
     return float(np.linalg.norm(np.asarray(t).ravel()))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tuckercheb import catalog
 from tuckercheb.approximator import (
     ConstructorConfig,
     ModeFibers,
@@ -53,7 +54,7 @@ class TestHelpers:
         with pytest.raises(ValueError):
             ConstructorConfig(tol=0.0)
         with pytest.raises(ValueError):
-            ConstructorConfig(halton_count=0)
+            ConstructorConfig(max_restarts=-1)
 
 
 class TestBuildBasics:
@@ -161,6 +162,35 @@ class TestBuildBehavior:
         xf = cheb_points(n)
         np.testing.assert_array_equal(out[:, 1], f(xf, 1.0, 0.0))
         np.testing.assert_allclose(out[:, 0], f(xf, 0.005, 0.0), rtol=0, atol=1e-14)
+
+    def test_zero_function_stats_pinned(self):
+        # the whole record of the zero exit; a refactor must leave it unchanged
+        approx = build(lambda x, y, z: 0.0 * x, ConstructorConfig(tol=1e-12))
+        assert approx.stats == {
+            "schema_version": 1, "tol": 1e-12, "seed": 0,
+            "ranks": [1, 1, 1], "degrees": [1, 1, 1], "coarse_dims": [17, 17, 17],
+            "restarts": 0, "vscale": 0.0, "halton_error": 0.0, "certified": True,
+            "unresolved_modes": [], "mixing_norms": [1.0, 1.0, 1.0],
+            "evals": {"phase1": {"total": 612, "distinct": 612}},
+            "total_calls": 612, "distinct_points": 612,
+        }
+
+    def test_expdist_counts_pinned(self):
+        # ranks, degrees and evaluation counts of the current algorithm on a
+        # catalog function; any change to them is a change of algorithm
+        s = build(catalog.get("expdist"), ConstructorConfig(tol=1e-10)).stats
+        assert s["ranks"] == [28, 28, 29]
+        assert s["degrees"] == [721, 721, 721]
+        assert s["coarse_dims"] == [91, 91, 91]
+        assert s["restarts"] == 0
+        assert s["distinct_points"] == 407127
+        assert s["total_calls"] == 632814
+        assert s["evals"] == {
+            "phase1": {"total": 604918, "distinct": 379255},
+            "phase2": {"total": 5130, "distinct": 5130},
+            "phase3_core": {"total": 22736, "distinct": 22712},
+            "verify": {"total": 30, "distinct": 30},
+        }
 
     def test_degrees_match_coeff_shapes(self):
         approx = build(separable, ConstructorConfig(tol=1e-10))

@@ -38,7 +38,7 @@ class TestChebPoints:
 
     def test_nestedness_bit_exact(self):
         # the 2n-1 grid must contain the n grid at even indices, bit for bit
-        for n in (5, 17, 33, 129):
+        for n in (5, 17, 33, 129, 1025, 8193):
             coarse = cheb_points(n)
             fine = cheb_points(refine_size(n))
             assert np.array_equal(fine[0::2], coarse)

@@ -10,7 +10,6 @@ from tuckercheb.tensor import (
     matricize,
     mode_mult,
     norm_frob,
-    norm_inf,
     subtensor,
     tucker_reconstruct,
 )
@@ -46,7 +45,6 @@ class TestMatricize:
 
     def test_norms(self):
         t = np.array([[[1.0, -2.0], [3.0, 0.5]]])
-        assert norm_inf(t) == 3.0
         assert norm_frob(t) == pytest.approx(np.sqrt(1 + 4 + 9 + 0.25))
 
 
