@@ -193,7 +193,7 @@ def phase1_factors(oracle, cfg, dims, guesses, rng):
         return fibers, dims, ranks
 
 
-def phase2_refine(oracle, mode_fibers, dims, cfg):
+def phase2_refine(oracle, mode_fibers, cfg):
     """Refine each mode's fiber grid until every column is resolved.
 
     A column is resolved once chebyshev.is_resolved accepts its
@@ -243,7 +243,7 @@ def phase2_refine(oracle, mode_fibers, dims, cfg):
     return fine, tuple(fine_dims), unresolved
 
 
-def phase3_core(oracle, fine_fibers, fine_dims, cfg):
+def phase3_core(oracle, fine_fibers, fine_dims):
     """QR + DEIM oblique projection and core sampling.
 
     Returns (approximant_without_stats, diagnostics dict).  Raises
@@ -311,14 +311,14 @@ def build(f, config=None, vectorized=True):
         mode_fibers, dims, ranks = p1
 
         oracle.set_phase("phase2")
-        fine_fibers, fine_dims, unresolved = phase2_refine(oracle, mode_fibers, dims, cfg)
+        fine_fibers, fine_dims, unresolved = phase2_refine(oracle, mode_fibers, cfg)
 
         err = math.inf
         approx = None
         detail = None
         try:
             oracle.set_phase("phase3_core")
-            approx, diag = phase3_core(oracle, fine_fibers, fine_dims, cfg)
+            approx, diag = phase3_core(oracle, fine_fibers, fine_dims)
             oracle.set_phase("verify")
             pts = halton_points(HALTON_COUNT)
             fvals = oracle.eval_points(pts[:, 0], pts[:, 1], pts[:, 2])

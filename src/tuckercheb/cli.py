@@ -169,7 +169,7 @@ def fiber_degree(fn, tol):
     for yz in ((-1.0, -1.0), (0.0, 0.0), (1.0, 1.0)):
         oracle = InstrumentedOracle(fn)
         vals = oracle.eval_points(x, np.full(x.size, yz[0]), np.full(x.size, yz[1]))
-        fine, _, _ = phase2_refine(oracle, [ModeFibers(1, vals[:, None], [yz])], (x.size,), cfg)
+        fine, _, _ = phase2_refine(oracle, [ModeFibers(1, vals[:, None], [yz])], cfg)
         coeffs = vals_to_coeffs(fine[0].values[:, 0])
         best = max(best, chop_series(coeffs, tol, oracle.vscale).size - 1)
     return best

@@ -152,7 +152,7 @@ class TestBuildBehavior:
         )
         oracle.set_phase("phase2")
         fine, dims, unresolved = phase2_refine(
-            oracle, [ModeFibers(1, vals, coords)], (17,), ConstructorConfig(tol=1e-10)
+            oracle, [ModeFibers(1, vals, coords)], ConstructorConfig(tol=1e-10)
         )
         n = dims[0]
         assert unresolved == [] and n > 17
@@ -190,6 +190,24 @@ class TestBuildBehavior:
             "phase2": {"total": 5130, "distinct": 5130},
             "phase3_core": {"total": 22736, "distinct": 22712},
             "verify": {"total": 30, "distinct": 30},
+        }
+
+    def test_runge3_counts_pinned(self):
+        # four restarts to degree 1449 with the sample store reused across
+        # attempts: every count the memo decides, on a real refinement build
+        s = build(catalog.get("runge3"), ConstructorConfig(tol=1e-10)).stats
+        assert s["ranks"] == [19, 19, 19]
+        assert s["degrees"] == [1449, 1449, 1449]
+        assert s["coarse_dims"] == [182, 182, 182]
+        assert s["restarts"] == 4
+        assert s["certified"] is True
+        assert s["distinct_points"] == 1256914
+        assert s["total_calls"] == 1630125
+        assert s["evals"] == {
+            "phase1": {"total": 1439254, "distinct": 1120054},
+            "phase2": {"total": 166518, "distinct": 112839},
+            "phase3_core": {"total": 24203, "distinct": 23991},
+            "verify": {"total": 150, "distinct": 30},
         }
 
     def test_degrees_match_coeff_shapes(self):

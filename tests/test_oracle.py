@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tuckercheb.chebyshev import cheb_points
 from tuckercheb.oracle import InstrumentedOracle, SamplingError
 
 
@@ -88,3 +89,192 @@ class TestNanPolicy:
         oracle = InstrumentedOracle(lambda x, y, z: 1.0 / x)
         with pytest.raises(SamplingError):
             oracle.eval_points([0.0], [0.0], [0.0])
+
+
+class DictMemo:
+    """Reference memo: a dict keyed by float triples, one point at a time.
+
+    This is the memo the numpy sample store replaced; the differential
+    test below requires the store to agree with it bit for bit.
+    """
+
+    def __init__(self, fn):
+        self._fn = fn
+        self._memo = {}
+        self.total_calls = 0
+        self.distinct_points = 0
+        self.vscale = 0.0
+        self.phase = "init"
+        self.counts = {}
+
+    def set_phase(self, name):
+        self.phase = name
+
+    def eval_points(self, xs, ys, zs):
+        xs = np.asarray(xs, dtype=float).ravel()
+        ys = np.asarray(ys, dtype=float).ravel()
+        zs = np.asarray(zs, dtype=float).ravel()
+        out = np.empty(xs.size)
+        miss = []
+        new_keys = set()
+        for i in range(xs.size):
+            key = (xs[i], ys[i], zs[i])
+            val = self._memo.get(key)
+            if val is None:
+                miss.append(i)
+                new_keys.add(key)
+            else:
+                out[i] = val
+        if miss:
+            vals = np.asarray(self._fn(xs[miss], ys[miss], zs[miss]), dtype=float)
+            for v, i in zip(vals, miss):
+                self._memo[(xs[i], ys[i], zs[i])] = v
+                out[i] = v
+            self.vscale = max(self.vscale, float(np.max(np.abs(vals))))
+        self.total_calls += xs.size
+        self.distinct_points += len(new_keys)
+        t, d = self.counts.get(self.phase, (0, 0))
+        self.counts[self.phase] = (t + xs.size, d + len(new_keys))
+        return out
+
+    def eval_grid(self, xs, ys, zs):
+        X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
+        return self.eval_points(X.ravel(), Y.ravel(), Z.ravel()).reshape(X.shape)
+
+
+def _recording(log):
+    """A sign-sensitive f that logs the exact bytes of every batch it gets."""
+
+    def f(x, y, z):
+        log.append(b"".join(np.asarray(a, dtype=float).tobytes() for a in (x, y, z)))
+        return np.copysign(1.0, x) * (1.0 + x * y) + np.copysign(2.0, z) * y
+
+    return f
+
+
+def _state(oracle):
+    return oracle.total_calls, oracle.distinct_points, dict(oracle.counts), oracle.vscale
+
+
+class TestSampleStore:
+    def test_signed_zero_shares_key_first_sign_wins(self):
+        seen = []
+
+        def f(x, y, z):
+            seen.extend(np.signbit(x))
+            return np.copysign(1.0, x)
+
+        oracle = InstrumentedOracle(f)
+        assert oracle.eval_points([-0.0], [0.0], [-0.0])[0] == -1.0
+        assert oracle.eval_points([0.0], [-0.0], [0.0])[0] == -1.0
+        assert seen == [True]
+        assert oracle.distinct_points == 1 and oracle.total_calls == 2
+
+    def test_repeat_within_call_counts_once(self):
+        sizes = []
+
+        def f(x, y, z):
+            sizes.append(x.size)
+            return x + y + z
+
+        oracle = InstrumentedOracle(f)
+        out = oracle.eval_points([0.3, 0.7, 0.3, 0.3], [0.1] * 4, [0.2] * 4)
+        assert sizes == [4]  # f gets every miss, in query order
+        assert oracle.distinct_points == 2 and oracle.total_calls == 4
+        assert out[0] == out[2] == out[3]
+        oracle.eval_points([0.3], [0.1], [0.2])
+        assert sizes == [4] and oracle.distinct_points == 2
+
+    def test_grid_then_points_all_hit(self):
+        calls = []
+
+        def f(x, y, z):
+            calls.append(x.size)
+            return 100 * x + 10 * y + z
+
+        oracle = InstrumentedOracle(f)
+        xs, ys, zs = [-1.0, 0.0, 0.5], [0.25, -0.75], [1.0, -0.0]
+        grid = oracle.eval_grid(xs, ys, zs)
+        X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
+        order = np.random.default_rng(0).permutation(X.size)
+        flat = oracle.eval_points(X.ravel()[order], Y.ravel()[order], Z.ravel()[order])
+        np.testing.assert_array_equal(flat, grid.ravel()[order])
+        assert calls == [12]
+        assert oracle.distinct_points == 12 and oracle.total_calls == 24
+
+    def test_sampling_error_changes_nothing(self):
+        calls = []
+
+        def f(x, y, z):
+            calls.append(x.size)
+            return 1.0 / x
+
+        oracle = InstrumentedOracle(f)
+        oracle.set_phase("a")
+        oracle.eval_points([0.5, -2.0], [0.0, 0.0], [0.0, 0.0])
+        before = _state(oracle)
+        with pytest.raises(SamplingError) as exc:
+            oracle.eval_points([0.25, 0.0, 0.5, -0.0], [0.125] * 4, [0.0] * 4)
+        assert exc.value.point == (0.0, 0.125, 0.0)
+        assert _state(oracle) == before
+        # nothing of the failed call was stored: its finite point is a miss
+        assert oracle(0.25, 0.125, 0.0) == 4.0
+        assert oracle.distinct_points == before[1] + 1
+        assert calls == [2, 4, 1]
+        assert oracle(0.5, 0.0, 0.0) == 2.0 and calls == [2, 4, 1]
+
+    def test_nan_coordinate_raises(self):
+        oracle = InstrumentedOracle(lambda x, y, z: x)
+        oracle.eval_points([0.5], [0.0], [0.0])
+        before = _state(oracle)
+        with pytest.raises(ValueError):
+            oracle.eval_points([0.5, 0.1], [0.0, np.nan], [0.0, 0.0])
+        assert _state(oracle) == before
+
+    def test_coordinate_capacity(self):
+        # 2**21 coordinate ids fill the 21-bit fields of a key; the next one
+        # must raise rather than collide
+        cap = 2**21
+        n = (cap - 2) // 3
+        vals = np.random.default_rng(1).permutation(3 * n) / cap - 0.5
+        oracle = InstrumentedOracle(lambda x, y, z: x + 2 * y + 4 * z)
+        oracle.eval_points(vals[:n], vals[n : 2 * n], vals[2 * n :])
+        # two fresh coordinates take the last two ids, 2**21 - 2 and 2**21 - 1
+        assert oracle(0.75, 0.875, vals[0]) == 0.75 + 2 * 0.875 + 4 * vals[0]
+        assert oracle(0.875, 0.75, vals[0]) == 0.875 + 2 * 0.75 + 4 * vals[0]
+        assert oracle(0.75, 0.875, vals[0]) == 0.75 + 2 * 0.875 + 4 * vals[0]
+        before = _state(oracle)
+        with pytest.raises(OverflowError):
+            oracle(0.9375, 0.75, 0.875)
+        assert _state(oracle) == before
+        assert oracle(vals[1], vals[n + 1], vals[2 * n + 1]) == vals[1] + 2 * vals[n + 1] + 4 * vals[2 * n + 1]
+        assert oracle.distinct_points == n + 2
+
+    def test_matches_dict_reference(self):
+        rng = np.random.default_rng(7)
+        pool = np.concatenate([cheb_points(9), [-0.0, 0.0, -0.0], rng.uniform(-1, 1, 5)])
+        log_a, log_b = [], []
+        store = InstrumentedOracle(_recording(log_a))
+        ref = DictMemo(_recording(log_b))
+        for step in range(20):
+            phase = f"p{step % 3}"
+            store.set_phase(phase)
+            ref.set_phase(phase)
+            kind = step % 4
+            if kind == 0:
+                axes = [rng.choice(pool, size=rng.integers(1, 5)) for _ in range(3)]
+                a, b = store.eval_grid(*axes), ref.eval_grid(*axes)
+            else:
+                m = int(rng.integers(1, 40))
+                if kind == 1:
+                    pts = rng.choice(pool, size=(3, m))
+                elif kind == 2:
+                    pts = rng.uniform(-1, 1, (3, m))
+                else:
+                    pts = rng.choice(pool, size=(3, m))
+                    pts = np.concatenate([pts, pts[:, ::-1]], axis=1)
+                a, b = store.eval_points(*pts), ref.eval_points(*pts)
+            assert a.tobytes() == b.tobytes(), step
+            assert _state(store) == _state(ref), step
+        assert log_a == log_b
+        assert store.distinct_points > 0 and store.total_calls > store.distinct_points
