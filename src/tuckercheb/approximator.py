@@ -6,8 +6,10 @@ each factor's Chebyshev grid (2n-1 nesting) until every column's
 coefficient tail is resolved; only unresolved columns are sampled, and
 resolved ones are extended by their own interpolant.  Phase 3
 orthonormalizes the factors, picks interpolation rows by DEIM, samples
-the r1*r2*r3 core entries, and verifies the result at Halton points,
-restarting on coarser-than-needed grids.
+the r1*r2*r3 core entries, and checks the result at Halton points.
+build repeats the three phases on a larger coarse grid until the check
+passes or cfg.max_restarts restarts are spent, and returns the attempt
+with the lowest Halton error.
 
 The fixed choices of the method are module constants: a 17^3 initial
 coarse grid (COARSE_DIMS), initial rank guesses of 6 per mode
@@ -51,8 +53,8 @@ class ConstructorConfig:
     max_fine_size: int = 2**14 + 1
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be positive and finite")
         if self.max_restarts < 0:
             raise ValueError("bad sampling configuration")
 
@@ -60,11 +62,11 @@ class ConstructorConfig:
 @dataclass
 class ModeFibers:
     """Fiber samples for one mode: values[:, c] is f along the mode axis
-    with the other two coordinates fixed at coords[c] = (a, b)."""
+    with the other two coordinates fixed at the row coords[c] = (a, b)."""
 
     mode: int
     values: np.ndarray
-    coords: list
+    coords: np.ndarray  # (r, 2); phase2_refine also takes a list of pairs
 
 
 @dataclass
@@ -93,31 +95,30 @@ class TuckerApproximant:
         return np.einsum("ijk,im,jm,km->m", self.core, u, v, w)
 
 
-def _radical_inverse(i, base):
-    f = 1.0
-    r = 0.0
-    while i > 0:
-        f /= base
-        r += f * (i % base)
-        i //= base
-    return r
-
-
 def halton_points(count, offset=0):
     """Halton sequence in bases (2, 3, 5), mapped from (0,1) to (-1,1)."""
     if count < 1:
         raise ValueError("count must be positive")
-    pts = np.empty((count, 3))
-    for row in range(count):
-        idx = offset + 1 + row
-        for d, b in enumerate((2, 3, 5)):
-            pts[row, d] = 2.0 * _radical_inverse(idx, b) - 1.0
-    return pts
+    # radical inverses of all indices in all bases at once; spent digits add 0.0
+    base = np.array([2, 3, 5])
+    i = np.repeat(np.arange(offset + 1, offset + 1 + count)[:, None], 3, axis=1)
+    f = np.ones(3)
+    r = np.zeros((count, 3))
+    while i.any():
+        f /= base
+        r += f * (i % base)
+        i //= base
+    return 2.0 * r - 1.0
 
 
 def grow_size(n):
     """Coarse-grid growth rule: floor(sqrt(2)^floor(2*log2(n)+1)) + 1."""
     return int(math.floor(math.sqrt(2.0) ** math.floor(2.0 * math.log2(n) + 1.0))) + 1
+
+
+def _grow(dims):
+    """The next coarse grid: grow_size on every mode, capped at MAX_COARSE_SIZE."""
+    return tuple(min(grow_size(n), MAX_COARSE_SIZE) for n in dims)
 
 
 def _aca_on_matrix(m, tol_rel):
@@ -136,17 +137,6 @@ def _aca_on_matrix(m, tol_rel):
     return res.row_indices, res.col_indices
 
 
-def _col_coords(cols, a_indices, a_points, b_indices, b_points):
-    """Map unfolding column numbers back to fixed coordinate pairs."""
-    na = len(a_indices)
-    out = []
-    for c in cols:
-        a = a_indices[c % na]
-        b = b_indices[c // na]
-        out.append((a_points[a], b_points[b]))
-    return out
-
-
 def phase1_factors(oracle, cfg, dims, guesses, rng):
     """Alternating fiber selection (two sweeps) on the coarse grid.
 
@@ -155,13 +145,11 @@ def phase1_factors(oracle, cfg, dims, guesses, rng):
     """
     dims = tuple(dims)
     guesses = tuple(guesses)
-    first_probe = True
     while True:
         pts = [cheb_points(n) for n in dims]
         idx = [[]] + [
             list(rng.choice(n, size=min(g, n), replace=False)) for n, g in zip(dims[1:], guesses[1:])
         ]
-        grown = False
         fibers = [None, None, None]
         for _ in range(2):
             for a in range(3):
@@ -170,27 +158,23 @@ def phase1_factors(oracle, cfg, dims, guesses, rng):
                 sel = list(idx)
                 sel[a] = range(dims[a])
                 mat = matricize(subtensor(oracle, dims, *sel), a + 1)
-                if first_probe:
-                    first_probe = False
-                    if oracle.vscale == 0.0:
-                        return None
+                # vscale is a running max: 0 means every sample so far was zero
+                if oracle.vscale == 0.0:
+                    return None
                 idx[a], cols = _aca_on_matrix(mat, cfg.tol)
-                coords = _col_coords(cols, idx[b], pts[b], idx[c], pts[c])
+                kc, kb = np.divmod(cols, len(idx[b]))
+                coords = np.column_stack((pts[b][np.take(idx[b], kb)], pts[c][np.take(idx[c], kc)]))
                 fibers[a] = ModeFibers(a + 1, mat[:, cols], coords)
 
             ranks = tuple(len(i) for i in idx)
-            if any(r / n > RANK_RATIO_THRESHOLD for r, n in zip(ranks, dims)):
-                new_dims = tuple(min(grow_size(n), MAX_COARSE_SIZE) for n in dims)
-                if new_dims != dims:
-                    dims = new_dims
-                    guesses = tuple(max(r, 1) for r in ranks)
-                    grown = True
-                    break
-            if min(ranks) <= 1:
+            too_high = any(r / n > RANK_RATIO_THRESHOLD for r, n in zip(ranks, dims))
+            if too_high and _grow(dims) != dims:
                 break
-        if grown:
-            continue
-        return fibers, dims, ranks
+            if min(ranks) <= 1:
+                return fibers, dims, ranks
+        else:
+            return fibers, dims, ranks
+        dims, guesses = _grow(dims), tuple(max(r, 1) for r in ranks)
 
 
 def phase2_refine(oracle, mode_fibers, cfg):
@@ -210,8 +194,7 @@ def phase2_refine(oracle, mode_fibers, cfg):
     for mf in mode_fibers:
         vals = mf.values
         n, r = vals.shape
-        a = np.array([c[0] for c in mf.coords])
-        b = np.array([c[1] for c in mf.coords])
+        a, b = np.asarray(mf.coords, dtype=float).T
         done = np.zeros(r, dtype=bool)
         while True:
             coeffs = vals_to_coeffs(vals)
@@ -246,7 +229,7 @@ def phase2_refine(oracle, mode_fibers, cfg):
 def phase3_core(oracle, fine_fibers, fine_dims):
     """QR + DEIM oblique projection and core sampling.
 
-    Returns (approximant_without_stats, diagnostics dict).  Raises
+    Returns (approximant_without_stats, mixing_norms).  Raises
     DegenerateInputError if a DEIM interpolation matrix is singular.
     """
     factor_coeffs = []
@@ -265,9 +248,7 @@ def phase3_core(oracle, fine_fibers, fine_dims):
         deim_rows.append(proj.interp_rows)
         mixing_norms.append(proj.mixing_norm)
     core = subtensor(oracle, fine_dims, *deim_rows)
-    approx = TuckerApproximant(core=core, coeffs=tuple(factor_coeffs))
-    diag = {"deim_rows": deim_rows, "mixing_norms": mixing_norms}
-    return approx, diag
+    return TuckerApproximant(core=core, coeffs=tuple(factor_coeffs)), mixing_norms
 
 
 def _modified_guesses(ranks):
@@ -277,19 +258,17 @@ def _modified_guesses(ranks):
     )
 
 
-def _eval_stats(oracle):
-    phases = {}
-    for name, (total, distinct) in oracle.counts.items():
-        phases[name] = {"total": total, "distinct": distinct}
-    return phases
+def _accepted(err, cfg, oracle):
+    return bool(err <= ACCEPTANCE_FACTOR * cfg.tol * oracle.vscale)
 
 
 def build(f, config=None, vectorized=True):
     """Construct a TuckerApproximant for f on [-1,1]^3.
 
     f may be any callable of three floats (or arrays, if vectorized).
-    The returned approximant carries construction stats; see the
-    'certified' flag for whether the Halton accuracy check passed.
+    The returned approximant is the attempt with the lowest Halton error
+    and carries construction stats; see the 'certified' flag for whether
+    it passed the Halton check.
     """
     cfg = config if config is not None else ConstructorConfig()
     oracle = InstrumentedOracle(f, vectorized=vectorized)
@@ -297,70 +276,54 @@ def build(f, config=None, vectorized=True):
 
     dims = COARSE_DIMS
     guesses = RANK_GUESSES
-    restarts = 0
-    best = None  # (err, approx, detail)
-
-    while True:
+    best = None  # (err, approx, coarse_dims, unresolved, mixing_norms)
+    for restarts in range(cfg.max_restarts + 1):
         oracle.set_phase("phase1")
         p1 = phase1_factors(oracle, cfg, dims, guesses, rng)
         if p1 is None:
             zero = TuckerApproximant(core=np.zeros((1, 1, 1)), coeffs=(np.zeros((1, 1)),) * 3)
-            detail = {"coarse_dims": list(dims), "unresolved": [], "mixing_norms": [1.0] * 3}
-            best = (0.0, zero, detail)
+            best = (0.0, zero, dims, [], [1.0] * 3)
             break
         mode_fibers, dims, ranks = p1
 
         oracle.set_phase("phase2")
         fine_fibers, fine_dims, unresolved = phase2_refine(oracle, mode_fibers, cfg)
 
-        err = math.inf
-        approx = None
-        detail = None
+        oracle.set_phase("phase3_core")
         try:
-            oracle.set_phase("phase3_core")
-            approx, diag = phase3_core(oracle, fine_fibers, fine_dims)
+            approx, mixing_norms = phase3_core(oracle, fine_fibers, fine_dims)
+        except DegenerateInputError:
+            pass  # this attempt has no approximant; the next one grows the grid
+        else:
             oracle.set_phase("verify")
             pts = halton_points(HALTON_COUNT)
             fvals = oracle.eval_points(pts[:, 0], pts[:, 1], pts[:, 2])
             err = float(np.max(np.abs(fvals - approx.evaluate_many(pts))))
-            detail = {
-                "coarse_dims": list(dims),
-                "unresolved": list(unresolved),
-                "mixing_norms": diag["mixing_norms"],
-            }
-        except DegenerateInputError:
-            pass
-
-        if approx is not None and (best is None or err < best[0]):
-            best = (err, approx, detail)
-
-        certified = (
-            approx is not None
-            and err <= ACCEPTANCE_FACTOR * cfg.tol * oracle.vscale
-        )
-        if certified or restarts >= cfg.max_restarts:
-            break
-        restarts += 1
+            if best is None or err < best[0]:
+                best = (err, approx, dims, unresolved, mixing_norms)
+            if _accepted(err, cfg, oracle):
+                break
         guesses = _modified_guesses(ranks)
-        dims = tuple(min(grow_size(n), MAX_COARSE_SIZE) for n in dims)
+        dims = _grow(dims)
 
     if best is None:
         raise DegenerateInputError("every construction attempt failed in phase 3")
-    err, approx, detail = best
+    err, approx, coarse_dims, unresolved, mixing_norms = best
     approx.stats = {
         "schema_version": 1,
         "tol": cfg.tol,
         "seed": cfg.seed,
         "ranks": list(approx.ranks),
         "degrees": list(approx.degrees),
-        "coarse_dims": detail["coarse_dims"],
+        "coarse_dims": list(coarse_dims),
         "restarts": restarts,
         "vscale": oracle.vscale,
         "halton_error": err,
-        "certified": bool(err <= ACCEPTANCE_FACTOR * cfg.tol * oracle.vscale),
-        "unresolved_modes": detail["unresolved"],
-        "mixing_norms": detail["mixing_norms"],
-        "evals": _eval_stats(oracle),
+        # judged at the final vscale, which the later attempts may have raised
+        "certified": _accepted(err, cfg, oracle),
+        "unresolved_modes": unresolved,
+        "mixing_norms": mixing_norms,
+        "evals": {p: {"total": t, "distinct": d} for p, (t, d) in oracle.counts.items()},
         "total_calls": oracle.total_calls,
         "distinct_points": oracle.distinct_points,
     }

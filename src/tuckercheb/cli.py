@@ -112,7 +112,7 @@ def cmd_eval(args):
                     if len(row) != 3:
                         raise ValueError(f"line {lineno}: expected 3 columns, got {len(row)}")
                     rows.append([float(v) for v in row])
-            pts = np.array(rows)
+            pts = np.array(rows).reshape(-1, 3)  # a file of comments only has no rows
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return ERR_IO
@@ -284,6 +284,17 @@ def cmd_bench(args):
     return worst
 
 
+def _tol(text):
+    """argparse type of every --tol: a positive finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
 def make_parser():
     p = argparse.ArgumentParser(prog="tuckercheb")
     sub = p.add_subparsers(dest="command", required=True)
@@ -292,7 +303,7 @@ def make_parser():
     g = pa.add_mutually_exclusive_group(required=True)
     g.add_argument("--expr", help="expression in x, y, z")
     g.add_argument("--fn", help="catalog function name")
-    pa.add_argument("--tol", type=float, default=1e-12)
+    pa.add_argument("--tol", type=_tol, default=1e-12)
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--out", help="binary approximant output path (.tcheb)")
     pa.add_argument("--stats", help="stats JSON output path")
@@ -311,7 +322,7 @@ def make_parser():
     ssub = ps.add_subparsers(dest="study", required=True)
     pr = ssub.add_parser("rankdeg", help="rank vs degree for 1/(x+y+z+3+eps)")
     pr.add_argument("--eps-list", required=True, help="comma-separated eps values")
-    pr.add_argument("--tol", type=float, default=1e-10)
+    pr.add_argument("--tol", type=_tol, default=1e-10)
     pr.add_argument(
         "--grid", type=int, default=100,
         help="points per axis; the rank is only seen when 1-cos(pi/(grid-1)) <= min(eps), "
@@ -322,7 +333,7 @@ def make_parser():
 
     pb = sub.add_parser("bench", help="evaluation-count report")
     pb.add_argument("--fns", required=True, help="comma-separated catalog names")
-    pb.add_argument("--tol", type=float, default=1e-12)
+    pb.add_argument("--tol", type=_tol, default=1e-12)
     pb.add_argument("--seed", type=int, default=0)
     pb.add_argument("--out", help="CSV output path")
     pb.set_defaults(func=cmd_bench)

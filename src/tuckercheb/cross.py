@@ -37,8 +37,8 @@ def aca(m, tol_abs, max_rank=None):
         raise ValueError("aca expects a matrix")
     if not np.all(np.isfinite(m)):
         raise ValueError("aca requires finite entries")
-    if tol_abs <= 0:
-        raise ValueError("tol_abs must be positive")
+    if not (np.isfinite(tol_abs) and tol_abs > 0):
+        raise ValueError("tol_abs must be positive and finite")
     nrows, ncols = m.shape
     cap = min(nrows, ncols)
     if max_rank is not None:

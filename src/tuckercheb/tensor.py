@@ -3,7 +3,7 @@
 Matricization convention: the mode-a unfolding has the mode-a fibers as
 columns, ordered with the remaining modes in their original cyclic order
 and the lower mode varying fastest (Fortran order of the remaining
-axes).  All de/matricize round-trips are exact.
+axes).
 """
 
 import numpy as np
@@ -20,16 +20,6 @@ def matricize(t, mode):
     return np.reshape(np.moveaxis(t, a, 0), (t.shape[a], -1), order="F")
 
 
-def dematricize(m, dims, mode):
-    """Inverse of matricize for a tensor of shape dims."""
-    if mode not in (1, 2, 3):
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    a = mode - 1
-    rest = [d for i, d in enumerate(dims) if i != a]
-    cube = np.reshape(np.asarray(m), [dims[a]] + rest, order="F")
-    return np.moveaxis(cube, 0, a)
-
-
 def mode_mult(t, m, mode):
     """Mode-a product: every mode-a fiber of t is multiplied by m."""
     t = np.asarray(t)
@@ -42,9 +32,7 @@ def mode_mult(t, m, mode):
             f"matrix of shape {m.shape} does not act on mode {mode} "
             f"of tensor with shape {t.shape}"
         )
-    dims = list(t.shape)
-    dims[a] = m.shape[0]
-    return dematricize(m @ matricize(t, mode), dims, mode)
+    return np.moveaxis(np.tensordot(m, t, axes=(1, a)), 0, a)
 
 
 def norm_frob(t):
@@ -101,11 +89,3 @@ def hosvd_truncated(t, tol):
     for mode, u in zip((1, 2, 3), factors):
         core = mode_mult(core, u.T, mode)
     return core, factors, tuple(ranks)
-
-
-def tucker_reconstruct(core, factors):
-    """Expand a Tucker triple back to a full tensor."""
-    t = np.asarray(core)
-    for mode, u in zip((1, 2, 3), factors):
-        t = mode_mult(t, np.asarray(u), mode)
-    return t

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from tuckercheb import catalog
+from tuckercheb import approximator, catalog
 from tuckercheb.approximator import (
+    HALTON_COUNT,
     ConstructorConfig,
     ModeFibers,
     TuckerApproximant,
@@ -16,6 +17,7 @@ from tuckercheb.approximator import (
     phase2_refine,
 )
 from tuckercheb.chebyshev import cheb_points
+from tuckercheb.cross import DegenerateInputError
 from tuckercheb.oracle import InstrumentedOracle, SamplingError
 
 STATS_KEYS = {
@@ -51,8 +53,9 @@ class TestHelpers:
         assert sizes == [17, 23, 33, 46, 65, 91, 129, 182, 257]
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ConstructorConfig(tol=0.0)
+        for tol in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                ConstructorConfig(tol=tol)
         with pytest.raises(ValueError):
             ConstructorConfig(max_restarts=-1)
 
@@ -209,6 +212,57 @@ class TestBuildBehavior:
             "phase3_core": {"total": 24203, "distinct": 23991},
             "verify": {"total": 150, "distinct": 30},
         }
+
+    def test_uncertified_build_returns_best_attempt(self, monkeypatch):
+        # runge3@1e-10 certifies after four restarts; cut at two, the 65^3
+        # attempt has a lower Halton error than the last one on 91^3
+        made = []
+        real = approximator.phase3_core
+
+        def recording(*args):
+            out = real(*args)
+            made.append(out[0])
+            return out
+
+        monkeypatch.setattr(approximator, "phase3_core", recording)
+        f = catalog.get("runge3")
+        approx = build(f, ConstructorConfig(tol=1e-10, max_restarts=2))
+        s = approx.stats
+        assert s["coarse_dims"] == [65, 65, 65]
+        assert s["restarts"] == 2
+        assert s["certified"] is False
+        assert s["distinct_points"] == 389777
+        pts = halton_points(HALTON_COUNT)
+        errs = [float(np.max(np.abs(f(*pts.T) - a.evaluate_many(pts)))) for a in made]
+        assert len(made) == 3 and approx is made[1]
+        assert s["halton_error"] == pytest.approx(errs[1], rel=1e-12)
+        assert s["halton_error"] == pytest.approx(2.30e-7, rel=1e-2)
+        assert errs[2] == pytest.approx(1.52e-6, rel=1e-2)
+
+    def test_degenerate_attempt_restarts(self, monkeypatch):
+        # a singular DEIM matrix ends the attempt; the next one grows the grid
+        real = approximator.build_oblique
+        calls = []
+
+        def flaky(q):
+            calls.append(q.shape)
+            if len(calls) == 1:
+                raise DegenerateInputError("singular interpolation matrix")
+            return real(q)
+
+        monkeypatch.setattr(approximator, "build_oblique", flaky)
+        s = build(separable, ConstructorConfig(tol=1e-10)).stats
+        assert s["restarts"] == 1
+        assert s["coarse_dims"] == [23, 23, 23]
+        assert s["certified"] is True
+
+    def test_degenerate_every_attempt_raises(self, monkeypatch):
+        def singular(q):
+            raise DegenerateInputError("singular interpolation matrix")
+
+        monkeypatch.setattr(approximator, "build_oblique", singular)
+        with pytest.raises(DegenerateInputError):
+            build(separable, ConstructorConfig(tol=1e-10, max_restarts=2))
 
     def test_degrees_match_coeff_shapes(self):
         approx = build(separable, ConstructorConfig(tol=1e-10))

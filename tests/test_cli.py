@@ -67,6 +67,23 @@ class TestApprox:
         code = cli.main(["approx", "--expr", EXPR, "--tol", "1e-8"])
         assert code == cli.ERR_NOT_CERTIFIED
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "abc"])
+    @pytest.mark.parametrize("argv", [
+        ["approx", "--fn", "runge3"],
+        ["study", "rankdeg", "--eps-list", "1e-1"],
+        ["bench", "--fns", "runge3"],
+    ])
+    def test_bad_tol_exit_2(self, monkeypatch, capsys, argv, tol):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled with a bad --tol")
+
+        monkeypatch.setattr(cli, "build", no_sampling)
+        monkeypatch.setattr(cli, "fiber_degree", no_sampling)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--tol", tol])
+        assert exc.value.code == cli.ERR_PARSE
+        assert "--tol" in capsys.readouterr().err
+
     def test_deterministic_output_bytes(self, tmp_path):
         paths = [tmp_path / f"{i}.tcheb" for i in (0, 1)]
         for p in paths:
@@ -99,6 +116,15 @@ class TestEval:
         assert header == ["x", "y", "z", "fhat", "abs_error"]
         assert len(rows) == 2
         assert all(float(r[4]) < 1e-9 for r in rows)
+
+    @pytest.mark.parametrize("text", ["", "# comment\n"])
+    def test_points_file_without_rows(self, stored, tmp_path, capsys, text):
+        out, _ = stored
+        pts = tmp_path / "pts.csv"
+        pts.write_text(text)
+        code = cli.main(["eval", "--in", str(out), "--points", str(pts), "--compare-expr", EXPR])
+        assert code == cli.OK
+        assert capsys.readouterr().out.splitlines() == ["x,y,z,fhat,abs_error"]
 
     def test_missing_file_exit_5(self, tmp_path, capsys):
         assert cli.main(["eval", "--in", str(tmp_path / "nope"), "--at", "0", "0", "0"]) == cli.ERR_IO

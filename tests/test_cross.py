@@ -71,8 +71,9 @@ class TestAca:
             aca(m, 1e-12)
 
     def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            aca(np.ones((2, 2)), 0.0)
+        for tol in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                aca(np.ones((2, 2)), tol)
 
 
 class TestDeim:

@@ -5,13 +5,11 @@ import pytest
 
 from tuckercheb.oracle import InstrumentedOracle
 from tuckercheb.tensor import (
-    dematricize,
     hosvd_truncated,
     matricize,
     mode_mult,
     norm_frob,
     subtensor,
-    tucker_reconstruct,
 )
 
 
@@ -25,7 +23,6 @@ class TestMatricize:
         for mode in (1, 2, 3):
             m = matricize(t, mode)
             assert m.shape[0] == t.shape[mode - 1]
-            np.testing.assert_array_equal(dematricize(m, t.shape, mode), t)
 
     def test_mode1_column_order(self):
         # mode-1 columns run over (j, k) with j fastest
@@ -90,7 +87,10 @@ class TestHosvd:
         t = random_tensor((4, 4, 4), 6)
         core, factors, ranks = hosvd_truncated(t, 0.0)
         assert all(r <= 4 for r in ranks)
-        np.testing.assert_allclose(tucker_reconstruct(core, factors), t, atol=1e-12)
+        rebuilt = core
+        for mode, u in zip((1, 2, 3), factors):
+            rebuilt = mode_mult(rebuilt, u, mode)
+        np.testing.assert_allclose(rebuilt, t, atol=1e-12)
 
     def test_reconstruction_bound(self):
         rng = np.random.default_rng(7)
@@ -103,7 +103,10 @@ class TestHosvd:
         t = low + 1e-9 * rng.standard_normal((8, 8, 8))
         tol = 1e-6
         core, factors, _ = hosvd_truncated(t, tol)
-        assert norm_frob(t - tucker_reconstruct(core, factors)) <= tol * norm_frob(t)
+        rebuilt = core
+        for mode, u in zip((1, 2, 3), factors):
+            rebuilt = mode_mult(rebuilt, u, mode)
+        assert norm_frob(t - rebuilt) <= tol * norm_frob(t)
 
     def test_rank_rotation_invariance(self):
         rng = np.random.default_rng(8)
