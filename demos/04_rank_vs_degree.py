@@ -7,12 +7,7 @@ with rank * degree (fiber sampling) therefore win over methods scaling
 with rank * degree^2 (slice sampling).
 """
 
-import numpy as np
-
-from tuckercheb.catalog import shifted_inv
-from tuckercheb.chebyshev import cheb_points
-from tuckercheb.cli import fiber_degree
-from tuckercheb.tensor import hosvd_truncated
+from tuckercheb.cli import rankdeg
 
 
 def main():
@@ -21,17 +16,11 @@ def main():
     # inside the eps = 1e-4 layer where the rank grows; a coarser grid
     # misses that layer and prints an aliased rank (see `study rankdeg`)
     grid = 257
-    pts = cheb_points(grid)
-    X, Y, Z = pts[:, None, None], pts[None, :, None], pts[None, None, :]
 
     print(f"tol {tol}, HOSVD on a {grid}^3 grid\n")
     print(f"{'eps':>8} {'degree':>8} {'rank':>6} {'deg/rank':>9}")
     prev = None
-    for eps in (1e-1, 1e-2, 1e-3, 1e-4):
-        fn = shifted_inv(eps)
-        degree = fiber_degree(fn, tol)
-        _, _, ranks = hosvd_truncated(np.asarray(fn(X, Y, Z)), tol)
-        rank = max(ranks)
+    for eps, degree, rank in rankdeg((1e-1, 1e-2, 1e-3, 1e-4), tol, grid):
         print(f"{eps:8.0e} {degree:8d} {rank:6d} {degree / rank:9.1f}")
         if prev is not None:
             dgrow, rgrow = degree / prev[0], rank / prev[1]

@@ -21,7 +21,7 @@ from .cross import aca, build_oblique, deim
 from .funcexpr import eval_expr, parse
 from .oracle import InstrumentedOracle
 from .serialize import deserialize, serialize
-from .tensor import hosvd_truncated, matricize, mode_mult, subtensor
+from .tensor import hosvd_ranks, matricize, subtensor
 
 __all__ = [
     "CATALOG",
@@ -40,10 +40,9 @@ __all__ = [
     "eval_series",
     "grow_size",
     "halton_points",
-    "hosvd_truncated",
+    "hosvd_ranks",
     "is_resolved",
     "matricize",
-    "mode_mult",
     "parse",
     "refine_size",
     "serialize",

@@ -1,5 +1,6 @@
 """Named benchmark functions, each defined by a parseable expression."""
 
+import math
 import re
 
 from . import funcexpr
@@ -20,13 +21,16 @@ _SHIFTED_INV = re.compile(r"shifted-inv\(([^)]+)\)$")
 def expression(name):
     """Expression string for a catalog entry.
 
-    'shifted-inv(eps)' takes a numeric parameter, e.g. shifted-inv(1e-3).
+    'shifted-inv(eps)' takes a positive finite eps, e.g. shifted-inv(1e-3).
     """
     m = _SHIFTED_INV.match(name)
     if m:
-        eps = float(m.group(1))
-        if eps <= 0:
-            raise KeyError(f"shifted-inv needs a positive eps, got {eps}")
+        try:
+            eps = float(m.group(1))
+        except ValueError:
+            eps = math.nan
+        if not (math.isfinite(eps) and eps > 0):
+            raise KeyError(f"shifted-inv needs a positive finite eps, got {m.group(1)!r}")
         return f"1/(x+y+z+3+{eps!r})"
     try:
         return CATALOG[name]

@@ -7,10 +7,12 @@ Subcommands:
     bench   per-function evaluation-count report over the catalog
 
 Exit codes: 0 success, 2 expression/usage error, 3 non-finite sample,
-4 tolerance not certified, 5 I/O or file-format error.
+4 tolerance not certified, 5 I/O or file-format error (any OSError from
+a command, such as an unreadable input or an unwritable output file).
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -24,7 +26,7 @@ from .approximator import ConstructorConfig, ModeFibers, build, phase2_refine
 from .chebyshev import cheb_points, chop_series, vals_to_coeffs
 from .oracle import InstrumentedOracle, SamplingError
 from .serialize import FormatError, deserialize, serialize
-from .tensor import hosvd_truncated
+from .tensor import hosvd_ranks
 
 OK = 0
 ERR_PARSE = 2
@@ -39,18 +41,20 @@ BENCH_COLUMNS = [
     "total", "distinct", "halton_error", "wall_time_s",
 ]
 
+# stats["evals"] keys, in the order of the summary lines and the bench columns
+PHASES = ("phase1", "phase2", "phase3_core", "verify")
+
 
 def _resolve_function(args):
-    if args.expr is not None:
-        src = args.expr
-    else:
-        src = catalog.expression(args.fn)
-    tree = funcexpr.parse(src)
-    return src, funcexpr.as_function(tree)
+    src = args.expr if args.expr is not None else catalog.expression(args.fn)
+    return funcexpr.as_function(funcexpr.parse(src))
 
 
-def _config(args):
-    return ConstructorConfig(tol=args.tol, seed=args.seed)
+@contextlib.contextmanager
+def _csv_out(path):
+    """A csv.writer on the file at path, or on stdout when there is no path."""
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
+        yield csv.writer(fh)
 
 
 def _print_summary(stats):
@@ -59,7 +63,7 @@ def _print_summary(stats):
     print(f"degrees   : {tuple(stats['degrees'])}")
     print(f"restarts  : {stats['restarts']}")
     print(f"evals     : total {stats['total_calls']}, distinct {stats['distinct_points']}")
-    for phase in ("phase1", "phase2", "phase3_core", "verify"):
+    for phase in PHASES:
         if phase in ev:
             print(f"  {phase:<11}: total {ev[phase]['total']}, distinct {ev[phase]['distinct']}")
     print(f"halton err: {stats['halton_error']:.3e} (certified: {stats['certified']})")
@@ -69,12 +73,12 @@ def _print_summary(stats):
 
 def cmd_approx(args):
     try:
-        _, fn = _resolve_function(args)
+        fn = _resolve_function(args)
     except (funcexpr.ParseError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERR_PARSE
     try:
-        approx = build(fn, _config(args))
+        approx = build(fn, ConstructorConfig(tol=args.tol, seed=args.seed))
     except SamplingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERR_NAN
@@ -93,9 +97,6 @@ def cmd_eval(args):
     try:
         with open(args.infile, "rb") as fh:
             approx = deserialize(fh.read())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ERR_IO
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERR_IO
@@ -113,9 +114,6 @@ def cmd_eval(args):
                         raise ValueError(f"line {lineno}: expected 3 columns, got {len(row)}")
                     rows.append([float(v) for v in row])
             pts = np.array(rows).reshape(-1, 3)  # a file of comments only has no rows
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return ERR_IO
         except ValueError as exc:
             print(f"error: malformed points file: {exc}", file=sys.stderr)
             return ERR_IO
@@ -124,7 +122,8 @@ def cmd_eval(args):
         print("warning: some points lie outside [-1,1]^3", file=sys.stderr)
     values = approx.evaluate_many(pts)
 
-    compare = None
+    header = ["x", "y", "z", "fhat"]
+    columns = [pts[:, 0], pts[:, 1], pts[:, 2], values]
     if args.compare_expr:
         try:
             tree = funcexpr.parse(args.compare_expr)
@@ -132,26 +131,12 @@ def cmd_eval(args):
             print(f"error: {exc}", file=sys.stderr)
             return ERR_PARSE
         exact = funcexpr.eval_expr(tree, pts[:, 0], pts[:, 1], pts[:, 2])
-        compare = np.abs(np.asarray(exact, dtype=float) - values)
+        header.append("abs_error")
+        columns.append(np.abs(np.asarray(exact, dtype=float) - values))
 
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out)
-        header = ["x", "y", "z", "fhat"] + (["abs_error"] if compare is not None else [])
+    with _csv_out(args.out) as writer:
         writer.writerow(header)
-        for i in range(pts.shape[0]):
-            row = [
-                repr(float(pts[i, 0])),
-                repr(float(pts[i, 1])),
-                repr(float(pts[i, 2])),
-                repr(float(values[i])),
-            ]
-            if compare is not None:
-                row.append(repr(float(compare[i])))
-            writer.writerow(row)
-    finally:
-        if args.out:
-            out.close()
+        writer.writerows([repr(float(v)) for v in row] for row in zip(*columns))
     return OK
 
 
@@ -186,12 +171,27 @@ def min_grid_for_eps(eps):
     return math.ceil(math.pi / (2.0 * math.asin(min(1.0, math.sqrt(eps / 2.0))))) + 1
 
 
+def rankdeg(eps_list, tol, grid):
+    """Rows (eps, degree, rank) of the rank-vs-degree study: for each
+    shifted_inv(eps), fiber_degree at tol and the largest truncated-HOSVD
+    rank at tol of its samples on the grid^3 Chebyshev grid."""
+    pts = cheb_points(grid)
+    X, Y, Z = pts[:, None, None], pts[None, :, None], pts[None, None, :]
+    rows = []
+    for eps in eps_list:
+        fn = catalog.shifted_inv(eps)
+        degree = fiber_degree(fn, tol)
+        tensor = np.asarray(fn(X, Y, Z), dtype=float)
+        rows.append((eps, degree, max(hosvd_ranks(tensor, tol))))
+    return rows
+
+
 def cmd_rankdeg(args):
     try:
-        eps_list = [float(s) for s in args.eps_list.split(",") if s.strip()]
-        if not eps_list or min(eps_list) <= 0:
-            raise ValueError("need at least one eps, all positive")
-    except ValueError as exc:
+        eps_list = [_tol(s) for s in args.eps_list.split(",") if s.strip()]
+        if not eps_list:
+            raise argparse.ArgumentTypeError("need at least one eps")
+    except argparse.ArgumentTypeError as exc:
         print(f"error: bad --eps-list: {exc}", file=sys.stderr)
         return ERR_PARSE
     if args.grid < 2:
@@ -212,31 +212,15 @@ def cmd_rankdeg(args):
             f"grows. Use --grid {min_grid_for_eps(eps_min)} or larger.",
             file=sys.stderr,
         )
-    pts = cheb_points(args.grid)
-    X = pts[:, None, None]
-    Y = pts[None, :, None]
-    Z = pts[None, None, :]
-    rows = []
-    for eps in eps_list:
-        fn = catalog.shifted_inv(eps)
-        degree = fiber_degree(fn, args.tol)
-        tensor = np.asarray(fn(X, Y, Z), dtype=float)
-        _, _, ranks = hosvd_truncated(tensor, args.tol)
-        rows.append((eps, degree, max(ranks)))
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out)
+    rows = rankdeg(eps_list, args.tol, args.grid)
+    with _csv_out(args.out) as writer:
         writer.writerow(["eps", "degree", "rank"])
-        for eps, degree, rank in rows:
-            writer.writerow([repr(eps), degree, rank])
-    finally:
-        if args.out:
-            out.close()
+        writer.writerows([repr(eps), degree, rank] for eps, degree, rank in rows)
     return OK
 
 
 def cmd_bench(args):
-    names = [s for s in args.fns.split(",") if s.strip()]
+    names = [s.strip() for s in args.fns.split(",") if s.strip()]
     rows = []
     worst = OK
     for name in names:
@@ -256,16 +240,9 @@ def cmd_bench(args):
         elapsed = time.perf_counter() - start
         s = approx.stats
         ev = s["evals"]
-
-        def phase(p, slot):
-            return ev.get(p, {"total": 0, "distinct": 0})[slot]
-
+        counts = [ev[p][k] if p in ev else 0 for p in PHASES for k in ("total", "distinct")]
         rows.append([
-            name, *s["ranks"], *s["degrees"], s["restarts"], int(s["certified"]),
-            phase("phase1", "total"), phase("phase1", "distinct"),
-            phase("phase2", "total"), phase("phase2", "distinct"),
-            phase("phase3_core", "total"), phase("phase3_core", "distinct"),
-            phase("verify", "total"), phase("verify", "distinct"),
+            name, *s["ranks"], *s["degrees"], s["restarts"], int(s["certified"]), *counts,
             s["total_calls"], s["distinct_points"],
             f"{s['halton_error']:.6e}", f"{elapsed:.3f}",
         ])
@@ -342,7 +319,11 @@ def make_parser():
 
 def main(argv=None):
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return ERR_IO
 
 
 if __name__ == "__main__":

@@ -223,40 +223,3 @@ def as_function(e):
     """Wrap a tree as a vectorized callable f(x, y, z)."""
     return lambda x, y, z: eval_expr(e, x, y, z)
 
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def to_str(e):
-    """Pretty-print with minimal parentheses; reparses to an equal tree."""
-    return _fmt(e, 0)
-
-
-def _fmt(e, parent_prec):
-    if isinstance(e, Num):
-        s = repr(e.value)
-        if s.endswith(".0"):
-            s = s[:-2]
-        return s
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Const):
-        return e.name
-    if isinstance(e, Call):
-        return f"{e.name}({_fmt(e.arg, 0)})"
-    if isinstance(e, Neg):
-        inner = _fmt(e.arg, _PREC["neg"])
-        s = f"-{inner}"
-        return f"({s})" if parent_prec > _PREC["neg"] else s
-    if isinstance(e, Bin):
-        p = _PREC[e.op]
-        if e.op == "^":
-            # right-associative; also force parens around a negated base
-            left = _fmt(e.left, p + 1)
-            right = _fmt(e.right, p)
-        else:
-            left = _fmt(e.left, p)
-            right = _fmt(e.right, p + 1)
-        s = f"{left}{e.op}{right}"
-        return f"({s})" if parent_prec > p else s
-    raise TypeError(f"not a FuncExpr node: {e!r}")

@@ -1,4 +1,5 @@
-"""Dense order-3 tensor algebra and a truncated-HOSVD oracle.
+"""Dense order-3 tensor helpers: unfoldings, oracle-sampled grid
+subtensors, and the truncated-HOSVD ranks that the rank study reports.
 
 Matricization convention: the mode-a unfolding has the mode-a fibers as
 columns, ordered with the remaining modes in their original cyclic order
@@ -20,26 +21,6 @@ def matricize(t, mode):
     return np.reshape(np.moveaxis(t, a, 0), (t.shape[a], -1), order="F")
 
 
-def mode_mult(t, m, mode):
-    """Mode-a product: every mode-a fiber of t is multiplied by m."""
-    t = np.asarray(t)
-    m = np.asarray(m)
-    if mode not in (1, 2, 3):
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    a = mode - 1
-    if m.ndim != 2 or m.shape[1] != t.shape[a]:
-        raise ValueError(
-            f"matrix of shape {m.shape} does not act on mode {mode} "
-            f"of tensor with shape {t.shape}"
-        )
-    return np.moveaxis(np.tensordot(m, t, axes=(1, a)), 0, a)
-
-
-def norm_frob(t):
-    """Frobenius norm."""
-    return float(np.linalg.norm(np.asarray(t).ravel()))
-
-
 def subtensor(oracle, grid_dims, I, J, K):
     """Evaluate f on selected Chebyshev grid indices through the oracle.
 
@@ -59,33 +40,21 @@ def subtensor(oracle, grid_dims, I, J, K):
     return oracle.eval_grid(xs, ys, zs)
 
 
-def hosvd_truncated(t, tol):
-    """Truncated higher-order SVD.
+def hosvd_ranks(t, tol):
+    """Multilinear ranks of the truncated higher-order SVD.
 
-    Per mode, the rank is the smallest r such that the discarded
-    singular values satisfy sqrt(sum sigma^2) <= tol*||t||_F/sqrt(3).
-    Returns (core, [U1, U2, U3], (r1, r2, r3)); factors have orthonormal
-    columns and the reconstruction error is below tol*||t||_F.
+    Per mode, the rank is the smallest r >= 1 such that the discarded
+    singular values satisfy sqrt(sum sigma^2) <= tol*||t||_F/sqrt(3), so
+    truncating every mode to its rank errs by at most tol*||t||_F.  Only
+    singular values are computed.
     """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     t = np.asarray(t, dtype=float)
-    nrm = norm_frob(t)
-    budget = tol * nrm / np.sqrt(3)
-    factors = []
+    budget = tol * np.linalg.norm(t) / np.sqrt(3)
     ranks = []
     for mode in (1, 2, 3):
-        u, s, _ = np.linalg.svd(matricize(t, mode), full_matrices=False)
+        s = np.linalg.svd(matricize(t, mode), compute_uv=False)
         tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]  # tail[r] = discarded energy at rank r
-        r = s.size
-        for cand in range(s.size):
-            if tail[cand] <= budget:
-                r = cand
-                break
-        r = max(r, 1)
-        factors.append(u[:, :r])
-        ranks.append(r)
-    core = t
-    for mode, u in zip((1, 2, 3), factors):
-        core = mode_mult(core, u.T, mode)
-    return core, factors, tuple(ranks)
+        ranks.append(max(int(np.count_nonzero(tail > budget)), 1))  # tail never increases
+    return tuple(ranks)

@@ -51,6 +51,7 @@ class TestApprox:
     def test_parse_error_exit_2(self, capsys):
         assert cli.main(["approx", "--expr", "sin(x"]) == cli.ERR_PARSE
         assert cli.main(["approx", "--fn", "no-such-fn"]) == cli.ERR_PARSE
+        assert cli.main(["approx", "--fn", "shifted-inv(abc)"]) == cli.ERR_PARSE
 
     def test_nan_exit_3(self, capsys):
         assert cli.main(["approx", "--expr", "log(x-2)"]) == cli.ERR_NAN
@@ -178,6 +179,8 @@ class TestStudies:
         code = cli.main(["study", "rankdeg", "--eps-list", "abc"])
         assert code == cli.ERR_PARSE
         assert cli.main(["study", "rankdeg", "--eps-list", "1e-2,0"]) == cli.ERR_PARSE
+        assert cli.main(["study", "rankdeg", "--eps-list", "nan"]) == cli.ERR_PARSE
+        assert cli.main(["study", "rankdeg", "--eps-list", "1e-2,inf"]) == cli.ERR_PARSE
         assert cli.main(["study", "rankdeg", "--eps-list", "1e-2", "--grid", "1"]) == cli.ERR_PARSE
 
     def test_bench_csv_schema(self, tmp_path, capsys):
@@ -194,3 +197,26 @@ class TestStudies:
 
     def test_bench_unknown_fn_exit_2(self, capsys):
         assert cli.main(["bench", "--fns", "no-such-fn"]) == cli.ERR_PARSE
+
+    def test_bench_names_stripped(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        code = cli.main([
+            "bench", "--fns", "separable-demo, logmix", "--tol", "1e-8", "--out", str(out),
+        ])
+        assert code == cli.OK
+        _, rows = read_csv(out)
+        assert [r[0] for r in rows] == ["separable-demo", "logmix"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["approx", "--expr", EXPR, "--tol", "1e-8", "--out", "{missing}"],
+    ["approx", "--expr", EXPR, "--tol", "1e-8", "--stats", "{missing}"],
+    ["eval", "--in", "{stored}", "--at", "0", "0", "0", "--out", "{missing}"],
+    ["study", "rankdeg", "--eps-list", "1e-1", "--tol", "1e-6", "--grid", "5", "--out", "{missing}"],
+    ["bench", "--fns", "separable-demo", "--tol", "1e-8", "--out", "{missing}"],
+], ids=["approx-out", "approx-stats", "eval", "rankdeg", "bench"])
+def test_unwritable_output_exit_5(stored, tmp_path, capsys, argv):
+    missing = tmp_path / "no-such-dir" / "out"
+    argv = [a.format(missing=missing, stored=stored[0]) for a in argv]
+    assert cli.main(argv) == cli.ERR_IO
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
