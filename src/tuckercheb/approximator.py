@@ -43,6 +43,7 @@ HALTON_COUNT = 30
 ACCEPTANCE_FACTOR = 10.0
 MAX_COARSE_SIZE = 2000
 MAX_RANK = 512
+EVAL_BLOCK = 1 << 20  # entries per evaluation array: points x max(degree, r2*r3), 8 MB
 
 
 @dataclass
@@ -89,10 +90,21 @@ class TuckerApproximant:
         return float(self.evaluate_many([[x, y, z]])[0])
 
     def evaluate_many(self, pts):
-        """Evaluate at an (m, 3) array of points, returning shape (m,)."""
+        """Evaluate at an (m, 3) array of points, returning shape (m,).
+
+        Per block of points: the three bases by eval_series, the core by
+        one GEMM over mode 1, then a reduction over modes 2 and 3.  A block
+        holds at most EVAL_BLOCK entries in each array, at any degree.
+        """
         pts = np.asarray(pts, dtype=float)
-        u, v, w = (np.atleast_2d(eval_series(a, pts[:, k])) for k, a in enumerate(self.coeffs))
-        return np.einsum("ijk,im,jm,km->m", self.core, u, v, w)
+        r1, r2, r3 = self.core.shape
+        core = self.core.reshape(r1, r2 * r3)
+        step = max(1, EVAL_BLOCK // max(*self.degrees, r2 * r3))
+        out = np.empty(len(pts))
+        for s in range(0, len(pts), step):
+            u, v, w = (eval_series(a, pts[s : s + step, k]) for k, a in enumerate(self.coeffs))
+            out[s : s + step] = np.einsum("mjk,mj,mk->m", (u @ core).reshape(-1, r2, r3), v, w)
+        return out
 
 
 def halton_points(count, offset=0):

@@ -9,7 +9,7 @@ precision.
 import math
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
+from numpy.polynomial.chebyshev import chebvander
 from scipy.fft import dct
 
 
@@ -64,13 +64,17 @@ def coeffs_to_vals(coeffs, n):
 
 
 def eval_series(coeffs, x):
-    """Evaluate sum_k c_k T_k(x) by Clenshaw recurrence.
+    """Evaluate sum_k c_k T_k(x) as chebvander(x, d-1) @ coeffs.
 
-    For matrix coefficients, each column is a separate series and the
-    result has one value per column.
+    The result has shape x.shape + coeffs.shape[1:]: a scalar x and a
+    vector series give a scalar, and m points with a (d, r) matrix whose
+    columns are separate series give (m, r).  The basis holds x.size * d
+    entries, so callers with many points and a high degree pass them in
+    blocks.
     """
     c = np.asarray(coeffs, dtype=float)
-    return chebval(x, c)
+    v = chebvander(x, c.shape[0] - 1) @ c
+    return v.reshape(np.shape(x) + c.shape[1:])[()]
 
 
 def _tail_window(n):

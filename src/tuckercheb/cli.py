@@ -16,6 +16,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import sys
 import time
 
@@ -57,6 +58,17 @@ def _csv_out(path):
         yield csv.writer(fh)
 
 
+def _check_writable(*paths):
+    """Raise OSError (exit 5) now, before any sampling, for an output path
+    that cannot be written.  A file this creates is removed again, so a
+    command that later ends with exit 2 or 3 leaves no new file behind."""
+    for path in filter(None, paths):
+        created = not os.path.exists(path)
+        open(path, "ab").close()
+        if created:
+            os.remove(path)
+
+
 def _print_summary(stats):
     ev = stats["evals"]
     print(f"ranks     : {tuple(stats['ranks'])}")
@@ -77,6 +89,7 @@ def cmd_approx(args):
     except (funcexpr.ParseError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERR_PARSE
+    _check_writable(args.out, args.stats)
     try:
         approx = build(fn, ConstructorConfig(tol=args.tol, seed=args.seed))
     except SamplingError as exc:
@@ -212,6 +225,7 @@ def cmd_rankdeg(args):
             f"grows. Use --grid {min_grid_for_eps(eps_min)} or larger.",
             file=sys.stderr,
         )
+    _check_writable(args.out)
     rows = rankdeg(eps_list, args.tol, args.grid)
     with _csv_out(args.out) as writer:
         writer.writerow(["eps", "degree", "rank"])
@@ -221,15 +235,15 @@ def cmd_rankdeg(args):
 
 def cmd_bench(args):
     names = [s.strip() for s in args.fns.split(",") if s.strip()]
+    try:
+        fns = [catalog.get(name) for name in names]
+    except KeyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return ERR_PARSE
+    _check_writable(args.out)
     rows = []
     worst = OK
-    for name in names:
-        try:
-            fn = catalog.get(name)
-        except KeyError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            worst = max(worst, ERR_PARSE)
-            continue
+    for name, fn in zip(names, fns):
         start = time.perf_counter()
         try:
             approx = build(fn, ConstructorConfig(tol=args.tol, seed=args.seed))
@@ -249,7 +263,7 @@ def cmd_bench(args):
         if not s["certified"]:
             worst = max(worst, ERR_NOT_CERTIFIED)
 
-    if args.out:
+    if args.out and len(rows) == len(names):  # every function was built
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(BENCH_COLUMNS)

@@ -1,12 +1,15 @@
 """Tests for the three-phase constructor on cheap target functions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 
 from tuckercheb import approximator, catalog
 from tuckercheb.approximator import (
+    EVAL_BLOCK,
     HALTON_COUNT,
     ConstructorConfig,
     ModeFibers,
@@ -29,6 +32,27 @@ STATS_KEYS = {
 
 def separable(x, y, z):
     return np.exp(x) * np.cos(y) * (z**2 + 1)
+
+
+def clenshaw_evaluate(approx, pts):
+    """Reference evaluator: numpy chebval (Clenshaw) bases of shape (r, m)
+    and one 4-operand einsum over all points at once.
+
+    This is the evaluation the blocked Vandermonde/GEMM path replaced; the
+    differential test below requires the two to agree to round-off.
+    """
+    u, v, w = (np.atleast_2d(chebval(pts[:, k], a)) for k, a in enumerate(approx.coeffs))
+    return np.einsum("ijk,im,jm,km->m", approx.core, u, v, w)
+
+
+def random_approximant(rng, ranks, degrees):
+    """Random core, and factor columns whose coefficients decay to ~1e-14
+    at the last degree, as a built approximant's do."""
+    coeffs = tuple(
+        rng.standard_normal((d, r)) * 10.0 ** (-14.0 * np.arange(d) / d)[:, None]
+        for d, r in zip(degrees, ranks)
+    )
+    return TuckerApproximant(core=rng.standard_normal(ranks), coeffs=coeffs)
 
 
 class TestHelpers:
@@ -286,3 +310,32 @@ class TestApproximantEval:
         assert approx.evaluate(0.5, -0.5, 0.2) == pytest.approx(-0.05)
         assert approx.ranks == (1, 1, 1)
         assert approx.degrees == (2, 2, 2)
+
+    # one shape whose block size is set by the degree, one by r2*r3
+    @pytest.mark.parametrize("ranks, degrees", [((3, 4, 5), (1000, 700, 300)), ((2, 40, 40), (60, 50, 40))])
+    def test_blocks_match_clenshaw(self, ranks, degrees):
+        rng = np.random.default_rng(20)
+        approx = random_approximant(rng, ranks, degrees)
+        step = EVAL_BLOCK // max(*degrees, ranks[1] * ranks[2])
+        for m in (0, 1, step - 1, step, step + 1, 3 * step + 1):
+            pts = rng.uniform(-1, 1, (m, 3))
+            got = approx.evaluate_many(pts)
+            assert got.shape == (m,)
+            if m:
+                ref = clenshaw_evaluate(approx, pts)
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("ranks, degrees, m", [
+        ((2, 2, 2), (16385, 2, 2), 320),  # an unblocked basis: 320 * 16385 * 8 B = 42 MB
+        ((2, 64, 64), (8, 8, 8), 4000),  # an unblocked core product: 4000 * 4096 * 8 B = 131 MB
+    ])
+    def test_memory_bounded_at_any_point_count(self, ranks, degrees, m):
+        approx = random_approximant(np.random.default_rng(21), ranks, degrees)
+        pts = np.random.default_rng(22).uniform(-1, 1, (m, 3))
+        tracemalloc.start()
+        try:
+            approx.evaluate_many(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 
 from tuckercheb.chebyshev import (
     cheb_points,
@@ -130,6 +131,45 @@ class TestEvalSeries:
             x = cheb_points(n)
             c = vals_to_coeffs(f(x))
             np.testing.assert_allclose(eval_series(c, x), f(x), atol=1e-13 * np.max(np.abs(f(x))))
+
+    def test_scalar_x_vector_series_gives_scalar(self):
+        out = eval_series(np.array([0.5, 0.25, 2.0]), 0.3)
+        assert np.ndim(out) == 0
+        assert out == pytest.approx(chebval(0.3, [0.5, 0.25, 2.0]), abs=1e-15)
+
+    def test_matrix_coeffs_give_points_by_columns(self):
+        rng = np.random.default_rng(12)
+        c = rng.uniform(-1, 1, (20, 3))
+        x = rng.uniform(-1, 1, 7)
+        out = eval_series(c, x)
+        assert out.shape == (7, 3)
+        np.testing.assert_allclose(out, chebval(x, c).T, atol=1e-14)
+        assert eval_series(c, 0.3).shape == (3,)
+
+    def test_2d_x(self):
+        rng = np.random.default_rng(13)
+        x = rng.uniform(-1, 1, (4, 5))
+        c = rng.uniform(-1, 1, 9)
+        assert eval_series(c, x).shape == (4, 5)
+        np.testing.assert_allclose(eval_series(c, x), chebval(x, c), atol=1e-14)
+        cm = rng.uniform(-1, 1, (9, 2))
+        out = eval_series(cm, x)
+        assert out.shape == (4, 5, 2)
+        np.testing.assert_allclose(out, np.moveaxis(chebval(x, cm), 0, -1), atol=1e-14)
+
+    def test_degree_zero(self):
+        x = np.linspace(-1, 1, 6)
+        np.testing.assert_array_equal(eval_series(np.array([2.5]), x), np.full(6, 2.5))
+        np.testing.assert_array_equal(eval_series(np.array([[2.5, -1.0]]), x), np.tile([2.5, -1.0], (6, 1)))
+        assert eval_series(np.array([2.5]), 0.7) == 2.5
+
+    def test_outside_interval_matches_clenshaw(self):
+        # `tuckercheb eval` warns about points off [-1, 1] but still evaluates them
+        rng = np.random.default_rng(14)
+        c = rng.uniform(-1, 1, 30) * 0.5 ** np.arange(30)
+        x = np.array([-3.0, -1.5, -1.0 - 1e-9, 1.0 + 1e-9, 1.2, 2.0])
+        ref = chebval(x, c)
+        np.testing.assert_allclose(eval_series(c, x), ref, rtol=1e-13, atol=1e-13)
 
 
 class TestResolution:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tuckercheb import cli
+from tuckercheb.oracle import SamplingError
 from tuckercheb.serialize import deserialize
 
 EXPR = "exp(x)*cos(y)*(z^2+1)"
@@ -215,8 +216,34 @@ class TestStudies:
     ["study", "rankdeg", "--eps-list", "1e-1", "--tol", "1e-6", "--grid", "5", "--out", "{missing}"],
     ["bench", "--fns", "separable-demo", "--tol", "1e-8", "--out", "{missing}"],
 ], ids=["approx-out", "approx-stats", "eval", "rankdeg", "bench"])
-def test_unwritable_output_exit_5(stored, tmp_path, capsys, argv):
+def test_unwritable_output_exit_5(stored, monkeypatch, tmp_path, capsys, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before checking the output path")
+
     missing = tmp_path / "no-such-dir" / "out"
     argv = [a.format(missing=missing, stored=stored[0]) for a in argv]
+    monkeypatch.setattr(cli, "build", no_work)
+    monkeypatch.setattr(cli, "rankdeg", no_work)
     assert cli.main(argv) == cli.ERR_IO
     assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["approx", "--expr", "sin(x", "--out", "{new}", "--stats", "{old}"], cli.ERR_PARSE),
+    (["approx", "--expr", "log(x-2)", "--out", "{new}", "--stats", "{old}"], cli.ERR_NAN),
+    (["approx", "--expr", "log(x-2)", "--out", "{old}", "--stats", "{new}"], cli.ERR_NAN),
+    (["bench", "--fns", "separable-demo,no-such-fn", "--out", "{new}"], cli.ERR_PARSE),
+    (["bench", "--fns", "separable-demo", "--tol", "1e-8", "--out", "{new}"], cli.ERR_NAN),
+    (["bench", "--fns", "separable-demo", "--tol", "1e-8", "--out", "{old}"], cli.ERR_NAN),
+], ids=["approx-parse", "approx-nan", "approx-nan-old-out", "bench-parse", "bench-nan", "bench-nan-old-out"])
+def test_failed_command_leaves_outputs_alone(monkeypatch, tmp_path, capsys, argv, code):
+    def nan_build(*args, **kwargs):
+        raise SamplingError((0.0, 0.0, 0.0), float("nan"))
+
+    if argv[0] == "bench":
+        monkeypatch.setattr(cli, "build", nan_build)
+    new, old = tmp_path / "new", tmp_path / "old"
+    old.write_bytes(b"kept")
+    assert cli.main([a.format(new=new, old=old) for a in argv]) == code
+    assert not new.exists()
+    assert old.read_bytes() == b"kept"
