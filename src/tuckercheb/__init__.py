@@ -18,7 +18,7 @@ from .chebyshev import (
     vals_to_coeffs,
 )
 from .cross import aca, build_oblique, deim
-from .funcexpr import eval_expr, parse
+from .funcexpr import parse
 from .oracle import InstrumentedOracle
 from .serialize import deserialize, serialize
 from .tensor import hosvd_ranks, matricize, subtensor
@@ -36,7 +36,6 @@ __all__ = [
     "coeffs_to_vals",
     "deim",
     "deserialize",
-    "eval_expr",
     "eval_series",
     "grow_size",
     "halton_points",

@@ -56,6 +56,8 @@ class ConstructorConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError("tol must be positive and finite")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError("seed must be a non-negative integer")
         if self.max_restarts < 0:
             raise ValueError("bad sampling configuration")
 

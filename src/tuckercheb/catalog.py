@@ -41,7 +41,7 @@ def expression(name):
 
 def get(name):
     """Vectorized callable f(x, y, z) for a catalog entry."""
-    return funcexpr.as_function(funcexpr.parse(expression(name)))
+    return funcexpr.parse(expression(name))
 
 
 def shifted_inv(eps):

@@ -6,9 +6,10 @@ Subcommands:
     study   rankdeg: rank-vs-degree study for the shifted inverse family
     bench   per-function evaluation-count report over the catalog
 
-Exit codes: 0 success, 2 expression/usage error, 3 non-finite sample,
-4 tolerance not certified, 5 I/O or file-format error (any OSError from
-a command, such as an unreadable input or an unwritable output file).
+Exit codes: 0 success, 2 expression/usage error (an eval point outside
+[-1,1]^3 included), 3 non-finite sample, 4 tolerance not certified,
+5 I/O or file-format error (any OSError from a command, such as an
+unreadable input or an unwritable output file).
 """
 
 import argparse
@@ -48,7 +49,7 @@ PHASES = ("phase1", "phase2", "phase3_core", "verify")
 
 def _resolve_function(args):
     src = args.expr if args.expr is not None else catalog.expression(args.fn)
-    return funcexpr.as_function(funcexpr.parse(src))
+    return funcexpr.parse(src)
 
 
 @contextlib.contextmanager
@@ -131,19 +132,21 @@ def cmd_eval(args):
             print(f"error: malformed points file: {exc}", file=sys.stderr)
             return ERR_IO
 
-    if np.any(np.abs(pts) > 1):
-        print("warning: some points lie outside [-1,1]^3", file=sys.stderr)
+    outside = ~np.all(np.abs(pts) <= 1, axis=1)  # NaN is outside too
+    if np.any(outside):
+        point = tuple(float(v) for v in pts[np.argmax(outside)])
+        print(f"error: point {point} lies outside the domain [-1,1]^3", file=sys.stderr)
+        return ERR_PARSE
     values = approx.evaluate_many(pts)
 
     header = ["x", "y", "z", "fhat"]
     columns = [pts[:, 0], pts[:, 1], pts[:, 2], values]
     if args.compare_expr:
         try:
-            tree = funcexpr.parse(args.compare_expr)
+            exact = funcexpr.parse(args.compare_expr)(*pts.T)
         except funcexpr.ParseError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return ERR_PARSE
-        exact = funcexpr.eval_expr(tree, pts[:, 0], pts[:, 1], pts[:, 2])
         header.append("abs_error")
         columns.append(np.abs(np.asarray(exact, dtype=float) - values))
 
@@ -235,6 +238,9 @@ def cmd_rankdeg(args):
 
 def cmd_bench(args):
     names = [s.strip() for s in args.fns.split(",") if s.strip()]
+    if not names:
+        print("error: bad --fns: need at least one function", file=sys.stderr)
+        return ERR_PARSE
     try:
         fns = [catalog.get(name) for name in names]
     except KeyError as exc:
@@ -286,6 +292,17 @@ def _tol(text):
     return value
 
 
+def _seed(text):
+    """argparse type of every --seed: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
+    return value
+
+
 def make_parser():
     p = argparse.ArgumentParser(prog="tuckercheb")
     sub = p.add_subparsers(dest="command", required=True)
@@ -295,7 +312,7 @@ def make_parser():
     g.add_argument("--expr", help="expression in x, y, z")
     g.add_argument("--fn", help="catalog function name")
     pa.add_argument("--tol", type=_tol, default=1e-12)
-    pa.add_argument("--seed", type=int, default=0)
+    pa.add_argument("--seed", type=_seed, default=0)
     pa.add_argument("--out", help="binary approximant output path (.tcheb)")
     pa.add_argument("--stats", help="stats JSON output path")
     pa.set_defaults(func=cmd_approx)
@@ -325,7 +342,7 @@ def make_parser():
     pb = sub.add_parser("bench", help="evaluation-count report")
     pb.add_argument("--fns", required=True, help="comma-separated catalog names")
     pb.add_argument("--tol", type=_tol, default=1e-12)
-    pb.add_argument("--seed", type=int, default=0)
+    pb.add_argument("--seed", type=_seed, default=0)
     pb.add_argument("--out", help="CSV output path")
     pb.set_defaults(func=cmd_bench)
     return p

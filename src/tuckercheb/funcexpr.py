@@ -10,12 +10,24 @@ than unary minus):
     atom   := NUMBER | 'pi' | 'e' | 'x' | 'y' | 'z'
             | FUNC '(' expr ')' | '(' expr ')'
 
-Implicit multiplication is not supported.  Evaluation follows IEEE-754
-semantics; invalid operations (log of a negative, 0/0, ...) yield NaN.
+Implicit multiplication is not supported.
+
+`parse(src)` compiles while it parses: each grammar rule returns a closure
+g(x, y, z) for its piece of the expression, and `parse` returns the
+callable f(x, y, z).  There is no syntax tree.  f takes Python floats,
+numpy scalars or broadcastable arrays.  A run of `+ -` or of `* /`
+operands is one closure that folds them left to right, so a long sum or
+product adds no depth.  Parentheses, function calls, unary minus and `^`
+exponents may nest at most MAX_NESTING levels deep; deeper input raises
+ParseError, before Python's recursion limit is near.
+
+f follows IEEE-754 semantics with numpy's floating-point warnings off:
+invalid operations (0/0, log of a negative, a negative base to a
+fractional power) give NaN, and division by zero or overflow give ±inf.
 """
 
+import operator
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +46,18 @@ FUNCTIONS = {
 
 CONSTANTS = {"pi": np.pi, "e": np.e}
 
-VARIABLES = ("x", "y", "z")
+VARIABLES = {
+    "x": lambda x, y, z: x,
+    "y": lambda x, y, z: y,
+    "z": lambda x, y, z: z,
+}
+
+ADDITIVE = {"+": operator.add, "-": operator.sub}
+MULTIPLICATIVE = {"*": operator.mul, "/": np.divide}
+
+# A level costs the parser at most 8 Python frames, so 64 levels stay far
+# below the default recursion limit of 1000.
+MAX_NESTING = 64
 
 
 class ParseError(ValueError):
@@ -43,39 +66,6 @@ class ParseError(ValueError):
     def __init__(self, message, position):
         self.position = position
         super().__init__(f"{message} (at offset {position})")
-
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Const:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: object
-
-
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Call:
-    name: str
-    arg: object
 
 
 _TOKEN_RE = re.compile(
@@ -106,11 +96,15 @@ def _tokenize(src):
     return tokens
 
 
+def _constant(value):
+    return lambda x, y, z: value
+
+
 class _Parser:
     def __init__(self, src):
-        self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -125,101 +119,92 @@ class _Parser:
         if kind != "op" or text != op:
             raise ParseError(f"expected {op!r}", pos)
 
+    def nested(self, rule, pos):
+        """rule() one nesting level deeper; pos is the token that opens it."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nested deeper than {MAX_NESTING} levels", pos)
+        self.depth += 1
+        g = rule()
+        self.depth -= 1
+        return g
+
     def parse(self):
-        node = self.expr()
+        g = self.expr()
         kind, text, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected token {text!r}", pos)
-        return node
+        return g
+
+    def chain(self, ops, operand):
+        """operand (op operand)*, compiled to one left fold."""
+        first = operand()
+        rest = []
+        while self.peek()[0] == "op" and self.peek()[1] in ops:
+            op = ops[self.next()[1]]
+            rest.append((op, operand()))
+        if not rest:
+            return first
+
+        def fold(x, y, z):
+            acc = first(x, y, z)
+            for op, g in rest:
+                acc = op(acc, g(x, y, z))
+            return acc
+
+        return fold
 
     def expr(self):
-        node = self.term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.next()[1]
-            node = Bin(op, node, self.term())
-        return node
+        return self.chain(ADDITIVE, self.term)
 
     def term(self):
-        node = self.unary()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.next()[1]
-            node = Bin(op, node, self.unary())
-        return node
+        return self.chain(MULTIPLICATIVE, self.unary)
 
     def unary(self):
-        if self.peek()[:2] == ("op", "-"):
+        kind, text, pos = self.peek()
+        if kind == "op" and text == "-":
             self.next()
-            return Neg(self.unary())
+            g = self.nested(self.unary, pos)
+            return lambda x, y, z: -g(x, y, z)
         return self.power()
 
     def power(self):
         base = self.atom()
-        if self.peek()[:2] == ("op", "^"):
+        kind, text, pos = self.peek()
+        if kind == "op" and text == "^":
             self.next()
-            return Bin("^", base, self.unary())
+            exponent = self.nested(self.unary, pos)
+            return lambda x, y, z: np.power(base(x, y, z), exponent(x, y, z))
         return base
 
     def atom(self):
         kind, text, pos = self.next()
         if kind == "num":
-            return Num(float(text))
+            return _constant(float(text))
         if kind == "name":
             if text in VARIABLES:
-                return Var(text)
+                return VARIABLES[text]
             if text in CONSTANTS:
-                return Const(text)
+                return _constant(CONSTANTS[text])
             if text in FUNCTIONS:
+                fn = FUNCTIONS[text]
                 self.expect_op("(")
-                arg = self.expr()
+                arg = self.nested(self.expr, pos)
                 self.expect_op(")")
-                return Call(text, arg)
+                return lambda x, y, z: fn(arg(x, y, z))
             raise ParseError(f"unknown identifier {text!r}", pos)
         if kind == "op" and text == "(":
-            node = self.expr()
+            g = self.nested(self.expr, pos)
             self.expect_op(")")
-            return node
+            return g
         raise ParseError(f"unexpected token {text!r}", pos)
 
 
 def parse(src):
-    """Parse an expression in x, y, z into a FuncExpr tree."""
-    return _Parser(src).parse()
+    """Compile an expression in x, y, z to a callable f(x, y, z)."""
+    g = _Parser(src).parse()
 
+    def f(x, y, z):
+        with np.errstate(all="ignore"):
+            return g(x, y, z)
 
-def eval_expr(e, x, y, z):
-    """Evaluate a tree at (x, y, z); accepts scalars or numpy arrays."""
-    with np.errstate(all="ignore"):
-        return _eval(e, x, y, z)
-
-
-def _eval(e, x, y, z):
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return {"x": x, "y": y, "z": z}[e.name]
-    if isinstance(e, Const):
-        return CONSTANTS[e.name]
-    if isinstance(e, Neg):
-        return -_eval(e.arg, x, y, z)
-    if isinstance(e, Call):
-        return FUNCTIONS[e.name](_eval(e.arg, x, y, z))
-    if isinstance(e, Bin):
-        a = _eval(e.left, x, y, z)
-        b = _eval(e.right, x, y, z)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            return np.divide(a, b)
-        if e.op == "^":
-            return np.power(a, b)
-    raise TypeError(f"not a FuncExpr node: {e!r}")
-
-
-def as_function(e):
-    """Wrap a tree as a vectorized callable f(x, y, z)."""
-    return lambda x, y, z: eval_expr(e, x, y, z)
-
+    return f

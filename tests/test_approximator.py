@@ -82,6 +82,9 @@ class TestHelpers:
                 ConstructorConfig(tol=tol)
         with pytest.raises(ValueError):
             ConstructorConfig(max_restarts=-1)
+        for seed in (-1, 1.5, "0", None):
+            with pytest.raises(ValueError):
+                ConstructorConfig(seed=seed)
 
 
 class TestBuildBasics:

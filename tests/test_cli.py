@@ -86,6 +86,21 @@ class TestApprox:
         assert exc.value.code == cli.ERR_PARSE
         assert "--tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "abc"])
+    @pytest.mark.parametrize("argv", [
+        ["approx", "--fn", "runge3"],
+        ["bench", "--fns", "runge3"],
+    ])
+    def test_bad_seed_exit_2(self, monkeypatch, capsys, argv, seed):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled with a bad --seed")
+
+        monkeypatch.setattr(cli, "build", no_sampling)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--seed", seed])
+        assert exc.value.code == cli.ERR_PARSE
+        assert "--seed" in capsys.readouterr().err
+
     def test_deterministic_output_bytes(self, tmp_path):
         paths = [tmp_path / f"{i}.tcheb" for i in (0, 1)]
         for p in paths:
@@ -142,11 +157,17 @@ class TestEval:
         pts.write_text("0.1,0.2\n")
         assert cli.main(["eval", "--in", str(out), "--points", str(pts)]) == cli.ERR_IO
 
-    def test_outside_domain_warns(self, stored, tmp_path, capsys):
+    def test_outside_domain_exit_2(self, stored, tmp_path, capsys):
         out, _ = stored
-        code = cli.main(["eval", "--in", str(out), "--at", "1.5", "0", "0"])
-        assert code == cli.OK
-        assert "outside" in capsys.readouterr().err
+        res = tmp_path / "res.csv"
+        pts = tmp_path / "pts.csv"
+        for bad in ("1.5", "nan"):
+            pts.write_text(f"0.1,0.2,0.3\n0.0,{bad},0.0\n-0.2,{bad},0.0\n")
+            for where in (["--at", "0", bad, "0"], ["--points", str(pts)]):
+                code = cli.main(["eval", "--in", str(out), *where, "--out", str(res)])
+                assert code == cli.ERR_PARSE
+                assert f"(0.0, {float(bad)}, 0.0)" in capsys.readouterr().err
+                assert not res.exists()
 
 
 class TestStudies:
@@ -198,6 +219,13 @@ class TestStudies:
 
     def test_bench_unknown_fn_exit_2(self, capsys):
         assert cli.main(["bench", "--fns", "no-such-fn"]) == cli.ERR_PARSE
+
+    @pytest.mark.parametrize("fns", ["", " , "])
+    def test_bench_no_functions_exit_2(self, monkeypatch, tmp_path, capsys, fns):
+        out = tmp_path / "bench.csv"
+        assert cli.main(["bench", "--fns", fns, "--out", str(out)]) == cli.ERR_PARSE
+        assert "need at least one function" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bench_names_stripped(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"

@@ -1,16 +1,30 @@
-"""Tests for the expression parser/evaluator and the function catalog."""
+"""Tests for the expression compiler and the function catalog."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from tuckercheb import catalog, funcexpr
-from tuckercheb.funcexpr import ParseError, as_function, eval_expr, parse
+from tuckercheb import catalog, cli
+from tuckercheb.funcexpr import MAX_NESTING, ParseError, parse
+
+# Hand-written numpy forms of the catalog entries, the reference for catalog.get.
+NUMPY_FORMS = {
+    "runge3": lambda x, y, z: 1 / (1 + 25 * np.sqrt(x**2 + y**2 + z**2)),
+    "expdist": lambda x, y, z: np.exp(-np.sqrt((x - 1) ** 2 + (y - 1) ** 2 + (z - 1) ** 2)),
+    "coshinv": lambda x, y, z: 1 / np.cosh(3 * (x + y + z)) ** 2,
+    "spike": lambda x, y, z: 1e5 / (1 + 1e5 * (x**2 + y**2 + z**2)),
+    "logmix": lambda x, y, z: np.log(
+        x + y * z + np.exp(x * y * z) + np.cos(np.sin(np.exp(x * y * z)))
+    ),
+    "separable-demo": lambda x, y, z: np.exp(x) * np.cos(y) * (z**2 + 1),
+    "degenerate-tanh": lambda x, y, z: np.tanh(5 * (x + z)) * np.exp(y),
+}
 
 
 def ev(src, x=0.0, y=0.0, z=0.0):
-    return eval_expr(parse(src), x, y, z)
+    return parse(src)(x, y, z)
 
 
 class TestParseEval:
@@ -50,8 +64,22 @@ class TestParseEval:
         assert ev("1/0") == math.inf
         assert math.isnan(ev("log(-1)"))
 
+    @pytest.mark.parametrize(
+        "arg", [0.0, np.float64(0.0), np.zeros(3)], ids=["float", "float64", "array"]
+    )
+    def test_ieee_without_warnings(self, arg):
+        cases = [
+            ("0/0", math.nan), ("1/0", math.inf), ("log(-1)", math.nan), ("(-8)^(1/3)", math.nan),
+            ("x/x", math.nan), ("1/x", math.inf), ("log(x-1)", math.nan), ("(x-8)^(1/3)", math.nan),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for src, expect in cases:
+                value = np.broadcast_to(ev(src, arg, arg, arg), np.shape(arg))
+                np.testing.assert_array_equal(value, np.full(np.shape(arg), expect), err_msg=src)
+
     def test_vectorized(self):
-        f = as_function(parse("x*y+cos(z)"))
+        f = parse("x*y+cos(z)")
         x = np.linspace(-1, 1, 7)
         np.testing.assert_allclose(f(x, x, x), x * x + np.cos(x), atol=1e-15)
 
@@ -64,6 +92,36 @@ class TestParseEval:
     def test_no_implicit_multiplication(self):
         with pytest.raises(ParseError):
             parse("2x")
+
+    # (opening text, closing text, offset of the opening token in the opening text)
+    @pytest.mark.parametrize(
+        "open_, close, at", [("(", ")", 0), ("sin(", ")", 0), ("-", "", 0), ("0.5^", "", 3)]
+    )
+    def test_nesting_bound(self, open_, close, at):
+        n = MAX_NESTING
+        assert np.isfinite(ev(open_ * n + "0.5" + close * n))
+        with pytest.raises(ParseError) as exc:
+            parse(open_ * (n + 1) + "0.5" + close * (n + 1))
+        assert exc.value.position == n * len(open_) + at
+
+    @pytest.mark.parametrize(
+        "src", ["(" * 3000 + "x" + ")" * 3000, "-" * 3000 + "x"], ids=["parens", "minuses"]
+    )
+    def test_deep_nesting_is_a_parse_error(self, src, capsys):
+        with pytest.raises(ParseError):
+            parse(src)
+        assert cli.main(["approx", f"--expr={src}"]) == cli.ERR_PARSE
+
+    def test_long_chains_fold_without_depth(self):
+        x = np.linspace(-1, 1, 5)
+        assert ev("+".join(["x"] * 5000), x) == pytest.approx(5000 * x)
+        assert ev("*".join(["x"] * 5000) + "/x", 1.0) == 1.0
+        assert ev("-".join(["1"] * 5000)) == -4998.0
+
+    @pytest.mark.parametrize("terms", [400, 5000])
+    def test_long_sum_builds(self, terms, capsys):
+        src = "+".join(["x"] * terms)
+        assert cli.main(["approx", "--expr", src, "--tol", "1e-8"]) == cli.OK
 
 
 class TestCatalog:
@@ -99,12 +157,12 @@ class TestCatalog:
     def test_expression_matches_callable(self):
         rng = np.random.default_rng(1)
         x, y, z = rng.uniform(-1, 1, (3, 30))
-        for name in catalog.CATALOG:
-            fn = catalog.get(name)
-            tree = funcexpr.parse(catalog.expression(name))
+        assert set(NUMPY_FORMS) == set(catalog.CATALOG)
+        for name, form in NUMPY_FORMS.items():
             np.testing.assert_allclose(
-                np.asarray(fn(x, y, z), dtype=float),
-                np.asarray(funcexpr.eval_expr(tree, x, y, z), dtype=float),
-                atol=1e-14,
-                err_msg=name,
+                catalog.get(name)(x, y, z), form(x, y, z), rtol=1e-14, atol=1e-14, err_msg=name
             )
+            # scalar arguments, as a non-vectorized build passes them
+            for point in zip(x[:3], y[:3], z[:3]):
+                expect = pytest.approx(form(*point), rel=1e-14, abs=1e-14)
+                assert catalog.get(name)(*point) == expect
