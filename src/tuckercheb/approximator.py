@@ -58,8 +58,11 @@ class ConstructorConfig:
             raise ValueError("tol must be positive and finite")
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
             raise ValueError("seed must be a non-negative integer")
-        if self.max_restarts < 0:
-            raise ValueError("bad sampling configuration")
+        if not (isinstance(self.max_restarts, (int, np.integer)) and self.max_restarts >= 0):
+            raise ValueError("max_restarts must be a non-negative integer")
+        n0 = COARSE_DIMS[0]
+        if not (isinstance(self.max_fine_size, (int, np.integer)) and self.max_fine_size >= n0):
+            raise ValueError(f"max_fine_size must be an integer >= {n0}, the initial coarse size")
 
 
 @dataclass

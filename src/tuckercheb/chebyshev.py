@@ -12,6 +12,8 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 from scipy.fft import dct
 
+TRIG_BASIS_POINTS = 64  # eval_series blocks below this size skip chebvander's loop over degrees
+
 
 def cheb_points(n):
     """Chebyshev points of the second kind, x_j = cos(j*pi/(n-1)).
@@ -64,17 +66,29 @@ def coeffs_to_vals(coeffs, n):
 
 
 def eval_series(coeffs, x):
-    """Evaluate sum_k c_k T_k(x) as chebvander(x, d-1) @ coeffs.
+    """Evaluate sum_k c_k T_k(x) as basis(x) @ coeffs.
 
     The result has shape x.shape + coeffs.shape[1:]: a scalar x and a
     vector series give a scalar, and m points with a (d, r) matrix whose
     columns are separate series give (m, r).  The basis holds x.size * d
     entries, so callers with many points and a high degree pass them in
     blocks.
+
+    Fewer than TRIG_BASIS_POINTS points, all in [-1, 1], take the basis
+    T_k(x) = cos(k * arccos(x)), which costs a few numpy calls at any
+    degree.  Every other call takes numpy's chebvander, which builds the
+    basis one degree at a time and is faster per point on large blocks;
+    it is also the one that extrapolates outside [-1, 1].
     """
     c = np.asarray(coeffs, dtype=float)
-    v = chebvander(x, c.shape[0] - 1) @ c
-    return v.reshape(np.shape(x) + c.shape[1:])[()]
+    x = np.asarray(x, dtype=float)
+    d = c.shape[0]
+    if x.size < TRIG_BASIS_POINTS and np.all(np.abs(x) <= 1.0):
+        basis = np.cos(np.multiply.outer(np.arccos(x), np.arange(d)))
+    else:
+        basis = chebvander(x, d - 1)
+    v = basis @ c
+    return v.reshape(x.shape + c.shape[1:])[()]
 
 
 def _tail_window(n):

@@ -17,6 +17,13 @@ is ``np.searchsorted``, and each call's new keys are merged in with
 re-sort.  The store therefore holds at most 2**21 distinct coordinate
 values; a call that would exceed that raises OverflowError and changes
 nothing.  A NaN coordinate equals no key and raises ValueError.
+
+A grid call builds its keys per axis: it interns the n1 + n2 + n3 axis
+values, broadcasts their ids into the n1*n2*n3 keys, and recovers the
+coordinates of the points it must sample, and only those, from their
+flat positions.  Point and grid calls share one lookup, sampling and
+insertion routine, so a grid and the same points listed one by one give
+f the same batch and leave the same store and counts.
 """
 
 import numpy as np
@@ -39,7 +46,9 @@ def _find(table, queries):
     pos = np.searchsorted(table, queries)
     if not table.size:
         return pos, np.zeros(pos.shape, dtype=bool)
-    return pos, table[np.minimum(pos, table.size - 1)] == queries
+    # a position past the end is a miss; clip it in place to compare
+    np.minimum(pos, table.size - 1, out=pos)
+    return pos, table[pos] == queries
 
 
 class InstrumentedOracle:
@@ -71,13 +80,11 @@ class InstrumentedOracle:
         t, d = self.counts.get(self.phase, (0, 0))
         self.counts[self.phase] = (t + total, d + distinct)
 
-    def eval_points(self, xs, ys, zs):
-        """Evaluate f at point triples given by parallel flat arrays."""
-        xs = np.asarray(xs, dtype=float).ravel()
-        ys = np.asarray(ys, dtype=float).ravel()
-        zs = np.asarray(zs, dtype=float).ravel()
-        n = xs.size
-        coords = np.concatenate([xs, ys, zs])
+    def _intern(self, coords):
+        """Coordinate ids of coords; unseen values are numbered in sorted order.
+
+        Returns (ids, unseen values, their ids).  Nothing is stored yet.
+        """
         if np.isnan(coords).any():
             raise ValueError("a sample coordinate is NaN")
         cpos, known = _find(self._coords, coords)
@@ -86,11 +93,22 @@ class InstrumentedOracle:
         unseen, inverse = np.unique(coords[~known], return_inverse=True)
         unseen_ids = self._coords.size + np.arange(unseen.size, dtype=np.int64)
         cid[~known] = unseen_ids[inverse]
-        keys = (cid[:n] << (2 * _ID_BITS)) | (cid[n : 2 * n] << _ID_BITS) | cid[2 * n :]
+        return cid, unseen, unseen_ids
 
+    def _sample(self, keys, points, unseen, unseen_ids):
+        """Values at packed keys: hits from the store, misses from f.
+
+        points(idx) gives the (xs, ys, zs) arrays of the flat positions
+        idx; it is called for the misses only.  The store and counters
+        change only once every miss has a finite value.
+        """
         pos, hit = _find(self._keys, keys)
-        out = np.empty(n)
-        out[hit] = self._vals[pos[hit]]
+        out = np.empty(keys.size)
+        if self._vals.size:
+            # a miss takes a neighbour's value until f's value replaces it;
+            # mode "clip" (positions are in range) keeps take from buffering
+            self._vals.take(pos, out=out, mode="clip")
+        del pos  # freed before f runs
         miss = np.flatnonzero(~hit)
         distinct = 0
         if miss.size:
@@ -98,16 +116,16 @@ class InstrumentedOracle:
                 raise OverflowError(
                     f"the sample store holds at most {_MAX_COORDS} distinct coordinate values"
                 )
+            xs, ys, zs = points(miss)
             if self._vectorized:
-                vals = np.asarray(self._fn(xs[miss], ys[miss], zs[miss]), dtype=float)
+                vals = np.asarray(self._fn(xs, ys, zs), dtype=float)
                 vals = np.broadcast_to(vals, miss.shape).astype(float)
             else:
-                vals = np.array([float(self._fn(xs[i], ys[i], zs[i])) for i in miss])
+                vals = np.array([float(self._fn(xs[j], ys[j], zs[j])) for j in range(miss.size)])
             bad = ~np.isfinite(vals)
             if np.any(bad):
                 j = int(np.argmax(bad))
-                k = miss[j]
-                raise SamplingError((xs[k], ys[k], zs[k]), vals[j])
+                raise SamplingError((xs[j], ys[j], zs[j]), vals[j])
             out[miss] = vals
             # a key repeated within the call keeps its last value, as a dict would
             new, last = np.unique(keys[miss][::-1], return_index=True)
@@ -121,17 +139,36 @@ class InstrumentedOracle:
             vmax = float(np.max(np.abs(vals)))
             if vmax > self.vscale:
                 self.vscale = vmax
-        self._bump(n, distinct)
+        self._bump(keys.size, distinct)
         return out
 
+    def eval_points(self, xs, ys, zs):
+        """Evaluate f at point triples given by parallel flat arrays."""
+        xs = np.asarray(xs, dtype=float).ravel()
+        ys = np.asarray(ys, dtype=float).ravel()
+        zs = np.asarray(zs, dtype=float).ravel()
+        n = xs.size
+        cid, unseen, unseen_ids = self._intern(np.concatenate([xs, ys, zs]))
+        keys = (cid[:n] << (2 * _ID_BITS)) | (cid[n : 2 * n] << _ID_BITS) | cid[2 * n :]
+        return self._sample(keys, lambda i: (xs[i], ys[i], zs[i]), unseen, unseen_ids)
+
     def eval_grid(self, xs, ys, zs):
-        """Evaluate f on the outer-product grid xs x ys x zs."""
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        zs = np.asarray(zs, dtype=float)
-        X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
-        flat = self.eval_points(X.ravel(), Y.ravel(), Z.ravel())
-        return flat.reshape(xs.size, ys.size, zs.size)
+        """Evaluate f on the outer-product grid xs x ys x zs.
+
+        Points are taken in C order (xs slowest), as np.meshgrid with
+        indexing="ij" would list them, but no coordinate grid is built:
+        the axis values are interned once and the keys are broadcast.
+        """
+        axes = [np.asarray(a, dtype=float).ravel() for a in (xs, ys, zs)]
+        shape = tuple(a.size for a in axes)
+        cid, unseen, unseen_ids = self._intern(np.concatenate(axes))
+        i, j, k = np.split(cid, np.cumsum(shape[:2]))
+        keys = ((i << (2 * _ID_BITS))[:, None, None] | (j << _ID_BITS)[:, None] | k).ravel()
+
+        def points(flat):
+            return tuple(a[ix] for a, ix in zip(axes, np.unravel_index(flat, shape)))
+
+        return self._sample(keys, points, unseen, unseen_ids).reshape(shape)
 
     def __call__(self, x, y, z):
         return float(self.eval_points([x], [y], [z])[0])

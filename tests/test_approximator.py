@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebval
 
-from tuckercheb import approximator, catalog
+from tuckercheb import approximator, catalog, chebyshev
 from tuckercheb.approximator import (
     EVAL_BLOCK,
     HALTON_COUNT,
@@ -80,8 +80,14 @@ class TestHelpers:
         for tol in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 ConstructorConfig(tol=tol)
-        with pytest.raises(ValueError):
-            ConstructorConfig(max_restarts=-1)
+        for bad in (-1, 1.5, "2", None):
+            with pytest.raises(ValueError):
+                ConstructorConfig(max_restarts=bad)
+        # the fiber grid must hold the 17-point initial coarse grid
+        for bad in (0, 3, 16, 33.0, "33", None):
+            with pytest.raises(ValueError):
+                ConstructorConfig(max_fine_size=bad)
+        ConstructorConfig(max_restarts=np.int64(0), max_fine_size=17)
         for seed in (-1, 1.5, "0", None):
             with pytest.raises(ValueError):
                 ConstructorConfig(seed=seed)
@@ -342,3 +348,23 @@ class TestApproximantEval:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+
+    def test_single_point_needs_no_chebvander(self, monkeypatch):
+        # a point is a small block: its basis must not loop over the 16385 degrees.
+        # Coefficients decay like k^-2, as a cusp's do (runge3 at 1e-12 has d = 16385)
+        rng = np.random.default_rng(23)
+        approx = TuckerApproximant(
+            core=rng.standard_normal((2, 3, 2)),
+            coeffs=tuple(rng.standard_normal((d, r)) / (1.0 + np.arange(d)[:, None]) ** 2
+                         for d, r in ((16385, 2), (721, 3), (2, 2))),
+        )
+        pts = np.array([[0.37, -0.81, 0.05], [1.0, 0.0, -1.0]])
+        ref = clenshaw_evaluate(approx, pts)
+
+        def refuse(x, deg):
+            raise AssertionError("chebvander called for a small block")
+
+        monkeypatch.setattr(chebyshev, "chebvander", refuse)
+        for p, r in zip(pts, ref):
+            assert approx.evaluate(*p) == pytest.approx(r, rel=0, abs=1e-13 * np.max(np.abs(ref)))
+        np.testing.assert_allclose(approx.evaluate_many(pts), ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebval
 
+from tuckercheb import chebyshev
 from tuckercheb.chebyshev import (
+    TRIG_BASIS_POINTS,
     cheb_points,
     chop_series,
     coeffs_to_vals,
@@ -170,6 +172,45 @@ class TestEvalSeries:
         x = np.array([-3.0, -1.5, -1.0 - 1e-9, 1.0 + 1e-9, 1.2, 2.0])
         ref = chebval(x, c)
         np.testing.assert_allclose(eval_series(c, x), ref, rtol=1e-13, atol=1e-13)
+
+    def test_small_block_outside_interval_extrapolates(self):
+        # one point is a small block, but off [-1, 1] arccos is NaN: it takes chebvander
+        c = np.random.default_rng(15).uniform(-1, 1, 30) * 0.5 ** np.arange(30)
+        for x in (1.2, np.array([1.2]), np.array([0.3, -1.0 - 1e-9])):
+            out = eval_series(c, x)
+            assert np.all(np.isfinite(out))
+            np.testing.assert_allclose(out, chebval(x, c), rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 91, 721])
+    def test_small_block_at_ends_and_centre(self, d):
+        c = np.random.default_rng(d).uniform(-1, 1, (d, 2)) / np.arange(1, d + 1)[:, None]
+        for x in (-1.0, 0.0, 1.0):
+            out = eval_series(c, np.array([x]))
+            assert out.shape == (1, 2)
+            np.testing.assert_allclose(out[0], chebval(x, c), rtol=0, atol=1e-14 * d)
+        # T_k(1) = 1 and T_k(-1) = (-1)^k hold exactly in the trig basis
+        assert eval_series(np.ones(d), 1.0) == d
+        alternating = (-1.0) ** np.arange(d)
+        assert eval_series(alternating, -1.0) == d
+
+    @pytest.mark.parametrize("m", [1, 2, TRIG_BASIS_POINTS - 1, TRIG_BASIS_POINTS, 2 * TRIG_BASIS_POINTS])
+    def test_both_bases_match_clenshaw(self, m):
+        rng = np.random.default_rng(16)
+        c = rng.uniform(-1, 1, (200, 3)) / np.arange(1, 201)[:, None] ** 2
+        x = np.concatenate([[-1.0, 1.0], rng.uniform(-1, 1, m)])[:m]
+        np.testing.assert_allclose(eval_series(c, x), chebval(x, c).T, rtol=0, atol=1e-14)
+
+    def test_size_rule(self, monkeypatch):
+        # a block below TRIG_BASIS_POINTS never reaches chebvander; a block of that size does
+        def refuse(x, deg):
+            raise AssertionError("chebvander called for a small block")
+
+        c = np.random.default_rng(17).uniform(-1, 1, 16385) / np.arange(1, 16386) ** 2
+        monkeypatch.setattr(chebyshev, "chebvander", refuse)
+        x = np.linspace(-1, 1, TRIG_BASIS_POINTS - 1)
+        np.testing.assert_allclose(eval_series(c, x), chebval(x, c), rtol=0, atol=1e-13)
+        with pytest.raises(AssertionError):
+            eval_series(c, np.linspace(-1, 1, TRIG_BASIS_POINTS))
 
 
 class TestResolution:

@@ -1,8 +1,11 @@
 """Tests for the memoizing, instrumented sampling wrapper."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from tuckercheb import oracle as oracle_module
 from tuckercheb.chebyshev import cheb_points
 from tuckercheb.oracle import InstrumentedOracle, SamplingError
 
@@ -278,3 +281,120 @@ class TestSampleStore:
             assert _state(store) == _state(ref), step
         assert log_a == log_b
         assert store.distinct_points > 0 and store.total_calls > store.distinct_points
+
+
+def _store(oracle):
+    return tuple(a.tobytes() for a in (oracle._keys, oracle._vals, oracle._coords, oracle._coord_ids))
+
+
+class TestGridPath:
+    """eval_grid builds its keys per axis; it must act as eval_points on the
+    meshgrid of its axes, bit for bit, and fail as cleanly."""
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_same_batches_and_counts_as_meshgrid_points(self, vectorized):
+        rng = np.random.default_rng(8)
+        pool = np.concatenate([cheb_points(9), [-0.0, 0.0], rng.uniform(-1, 1, 4)])
+        log_a, log_b = [], []
+        grid = InstrumentedOracle(_recording(log_a), vectorized=vectorized)
+        points = InstrumentedOracle(_recording(log_b), vectorized=vectorized)
+        for step in range(12):
+            for o in (grid, points):
+                o.set_phase(f"p{step % 2}")
+            # repeated values within an axis and across calls, signed zeros included
+            axes = [rng.choice(pool, size=rng.integers(1, 6)) for _ in range(3)]
+            a = grid.eval_grid(*axes)
+            X, Y, Z = np.meshgrid(*axes, indexing="ij")
+            b = points.eval_points(X.ravel(), Y.ravel(), Z.ravel())
+            assert a.shape == X.shape
+            assert a.tobytes() == b.tobytes(), step
+            assert _state(grid) == _state(points), step
+            assert _store(grid) == _store(points), step
+        assert log_a == log_b
+        assert grid.total_calls > grid.distinct_points > 0
+
+    def test_duplicate_axis_values(self):
+        sizes = []
+
+        def f(x, y, z):
+            sizes.append(x.size)
+            return x - 2 * y + 3 * z
+
+        oracle = InstrumentedOracle(f)
+        g = oracle.eval_grid([0.5, 0.5, -0.0], [0.25], [0.0, 0.0])
+        assert g.shape == (3, 1, 2)
+        assert np.all(g[:2] == 0.5 - 0.5) and np.all(g[2] == -0.5)
+        assert sizes == [6]  # f gets every miss, repeats included, as eval_points does
+        assert oracle.distinct_points == 2 and oracle.total_calls == 6
+        assert oracle(0.0, 0.25, -0.0) == -0.5 and sizes == [6]
+
+    def test_empty_axis(self):
+        calls = []
+
+        def f(x, y, z):
+            calls.append(x.size)
+            return x + y + z
+
+        oracle = InstrumentedOracle(f)
+        for axes in (([], [0.1], [0.2]), ([0.1], [], [0.2]), ([0.1], [0.2], []), ([], [], [])):
+            g = oracle.eval_grid(*axes)
+            assert g.shape == tuple(len(a) for a in axes) and g.size == 0
+        assert calls == [] and oracle.total_calls == oracle.distinct_points == 0
+        assert oracle.eval_grid([0.1], [0.2], [0.3])[0, 0, 0] == pytest.approx(0.6)
+        assert calls == [1]
+
+    def test_nan_on_one_axis_raises(self):
+        oracle = InstrumentedOracle(lambda x, y, z: x)
+        oracle.eval_grid([0.5, -0.5], [0.0], [0.25])
+        before, store = _state(oracle), _store(oracle)
+        with pytest.raises(ValueError):
+            oracle.eval_grid([0.5, 0.75], [0.0, np.nan], [0.25])
+        assert _state(oracle) == before and _store(oracle) == store
+
+    def test_sampling_error_changes_nothing_and_names_the_point(self):
+        calls = []
+
+        def f(x, y, z):
+            calls.append(x.size)
+            return 1.0 / (x * y)
+
+        oracle = InstrumentedOracle(f)
+        oracle.set_phase("a")
+        oracle.eval_grid([0.5, 0.25], [1.0], [0.0])
+        before, store = _state(oracle), _store(oracle)
+        with pytest.raises(SamplingError) as exc:
+            # in C order the first non-finite value is at (0.5, 0.0, 0.0)
+            oracle.eval_grid([0.5, 0.25], [1.0, 0.0], [0.0, 0.5])
+        assert exc.value.point == (0.5, 0.0, 0.0)
+        assert np.isinf(exc.value.value)
+        assert _state(oracle) == before and _store(oracle) == store
+        assert calls == [2, 6]
+        assert oracle(0.25, 1.0, 0.5) == 4.0 and oracle.distinct_points == before[1] + 1
+
+    def test_overflow_changes_nothing(self, monkeypatch):
+        monkeypatch.setattr(oracle_module, "_MAX_COORDS", 6)
+        oracle = InstrumentedOracle(lambda x, y, z: x + y + z)
+        oracle.eval_grid([0.1, 0.2], [0.3, 0.4], [0.5])  # five coordinate values
+        before, store = _state(oracle), _store(oracle)
+        with pytest.raises(OverflowError):
+            oracle.eval_grid([0.1], [0.3, 0.6], [0.5, 0.7])
+        assert _state(oracle) == before and _store(oracle) == store
+        # a grid with one new value still fits, and so does a grid of hits
+        assert oracle.eval_grid([0.1], [0.6], [0.5])[0, 0, 0] == pytest.approx(1.2)
+        assert oracle.eval_grid([0.2, 0.1], [0.4, 0.3], [0.5]).shape == (2, 2, 1)
+
+    def test_grid_builds_no_coordinate_grid(self):
+        # A meshgrid holds 3*N coordinates beside the N keys of any lookup,
+        # 4 * 8N bytes in all; a stored grid must be looked up in less
+        n = 64
+        ax = cheb_points(n)
+        oracle = InstrumentedOracle(lambda x, y, z: x + y * z)
+        first = oracle.eval_grid(ax, ax, ax)
+        tracemalloc.start()
+        try:
+            again = oracle.eval_grid(ax, ax, ax)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again.tobytes() == first.tobytes()
+        assert peak < 4 * 8 * n**3
