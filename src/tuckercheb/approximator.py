@@ -1,8 +1,10 @@
 """Three-phase fiber-based constructor for functional Tucker approximants.
 
 Phase 1 alternates cross approximation over lazily sampled coarse-grid
-subtensors to pick fiber indices and factor matrices.  Phase 2 refines
-each factor's Chebyshev grid (2n-1 nesting) until every column's
+subtensors to pick fiber indices and factor matrices, starting from
+evenly spread indices on modes 2 and 3 (_spread); nothing is random, so
+a build depends on f and its config alone.  Phase 2 refines each
+factor's Chebyshev grid (2n-1 nesting) until every column's
 coefficient tail is resolved; only unresolved columns are sampled, and
 resolved ones are extended by their own interpolant.  Phase 3
 orthonormalizes the factors, picks interpolation rows by DEIM, samples
@@ -18,6 +20,7 @@ its grid size (RANK_RATIO_THRESHOLD), 30 Halton verification points
 (HALTON_COUNT) and acceptance at 10*tol*vscale (ACCEPTANCE_FACTOR).
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -49,15 +52,12 @@ EVAL_BLOCK = 1 << 20  # entries per evaluation array: points x max(degree, r2*r3
 @dataclass
 class ConstructorConfig:
     tol: float = 1e-12
-    seed: int = 0
     max_restarts: int = 5
     max_fine_size: int = 2**14 + 1
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError("tol must be positive and finite")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ValueError("seed must be a non-negative integer")
         if not (isinstance(self.max_restarts, (int, np.integer)) and self.max_restarts >= 0):
             raise ValueError("max_restarts must be a non-negative integer")
         n0 = COARSE_DIMS[0]
@@ -154,9 +154,20 @@ def _aca_on_matrix(m, tol_rel):
     return res.row_indices, res.col_indices
 
 
-def phase1_factors(oracle, cfg, dims, guesses, rng):
+def _spread(n, g, t):
+    """The t-th draw of initial fiber indices: min(g, n) evenly spread
+    indices floor((k + o)*n/g) on an n-point grid, shifted by o, the
+    base-2 radical inverse of t."""
+    g = min(g, n)
+    o = (halton_points(1, offset=t - 1)[0, 0] + 1.0) / 2.0
+    return list(np.floor((np.arange(g) + o) * n / g).astype(int))
+
+
+def phase1_factors(oracle, cfg, dims, guesses, draws):
     """Alternating fiber selection (two sweeps) on the coarse grid.
 
+    The first index sets of modes 2 and 3 are _spread draws, numbered by
+    the iterator draws, which runs on across the attempts of a build.
     Returns (mode_fibers, dims, ranks), or None when the function is
     numerically zero on the initial probe.
     """
@@ -164,9 +175,7 @@ def phase1_factors(oracle, cfg, dims, guesses, rng):
     guesses = tuple(guesses)
     while True:
         pts = [cheb_points(n) for n in dims]
-        idx = [[]] + [
-            list(rng.choice(n, size=min(g, n), replace=False)) for n, g in zip(dims[1:], guesses[1:])
-        ]
+        idx = [[]] + [_spread(n, g, next(draws)) for n, g in zip(dims[1:], guesses[1:])]
         fibers = [None, None, None]
         for _ in range(2):
             for a in range(3):
@@ -289,14 +298,14 @@ def build(f, config=None, vectorized=True):
     """
     cfg = config if config is not None else ConstructorConfig()
     oracle = InstrumentedOracle(f, vectorized=vectorized)
-    rng = np.random.default_rng(cfg.seed)
+    draws = itertools.count(1)
 
     dims = COARSE_DIMS
     guesses = RANK_GUESSES
     best = None  # (err, approx, coarse_dims, unresolved, mixing_norms)
     for restarts in range(cfg.max_restarts + 1):
         oracle.set_phase("phase1")
-        p1 = phase1_factors(oracle, cfg, dims, guesses, rng)
+        p1 = phase1_factors(oracle, cfg, dims, guesses, draws)
         if p1 is None:
             zero = TuckerApproximant(core=np.zeros((1, 1, 1)), coeffs=(np.zeros((1, 1)),) * 3)
             best = (0.0, zero, dims, [], [1.0] * 3)
@@ -327,9 +336,8 @@ def build(f, config=None, vectorized=True):
         raise DegenerateInputError("every construction attempt failed in phase 3")
     err, approx, coarse_dims, unresolved, mixing_norms = best
     approx.stats = {
-        "schema_version": 1,
+        "schema_version": 2,
         "tol": cfg.tol,
-        "seed": cfg.seed,
         "ranks": list(approx.ranks),
         "degrees": list(approx.degrees),
         "coarse_dims": list(coarse_dims),

@@ -92,7 +92,7 @@ def cmd_approx(args):
         return ERR_PARSE
     _check_writable(args.out, args.stats)
     try:
-        approx = build(fn, ConstructorConfig(tol=args.tol, seed=args.seed))
+        approx = build(fn, ConstructorConfig(tol=args.tol))
     except SamplingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERR_NAN
@@ -252,7 +252,7 @@ def cmd_bench(args):
     for name, fn in zip(names, fns):
         start = time.perf_counter()
         try:
-            approx = build(fn, ConstructorConfig(tol=args.tol, seed=args.seed))
+            approx = build(fn, ConstructorConfig(tol=args.tol))
         except SamplingError as exc:
             print(f"error: {name}: {exc}", file=sys.stderr)
             worst = max(worst, ERR_NAN)
@@ -292,17 +292,6 @@ def _tol(text):
     return value
 
 
-def _seed(text):
-    """argparse type of every --seed: a non-negative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
-    return value
-
-
 def make_parser():
     p = argparse.ArgumentParser(prog="tuckercheb")
     sub = p.add_subparsers(dest="command", required=True)
@@ -312,7 +301,6 @@ def make_parser():
     g.add_argument("--expr", help="expression in x, y, z")
     g.add_argument("--fn", help="catalog function name")
     pa.add_argument("--tol", type=_tol, default=1e-12)
-    pa.add_argument("--seed", type=_seed, default=0)
     pa.add_argument("--out", help="binary approximant output path (.tcheb)")
     pa.add_argument("--stats", help="stats JSON output path")
     pa.set_defaults(func=cmd_approx)
@@ -342,7 +330,6 @@ def make_parser():
     pb = sub.add_parser("bench", help="evaluation-count report")
     pb.add_argument("--fns", required=True, help="comma-separated catalog names")
     pb.add_argument("--tol", type=_tol, default=1e-12)
-    pb.add_argument("--seed", type=_seed, default=0)
     pb.add_argument("--out", help="CSV output path")
     pb.set_defaults(func=cmd_bench)
     return p

@@ -305,7 +305,7 @@ def test_c10_error_splitting_bound():
 
 def test_c11_determinism_and_serialization():
     fn = catalog.get("logmix")
-    cfg = ConstructorConfig(tol=1e-10, seed=0)
+    cfg = ConstructorConfig(tol=1e-10)
     a = build(fn, cfg)
     b = build(fn, cfg)
     same_stats = a.stats == b.stats
