@@ -3,8 +3,10 @@
 Phase 1 alternates cross approximation over lazily sampled coarse-grid
 subtensors to pick fiber indices and factor matrices, starting from
 evenly spread indices on modes 2 and 3 (_spread); nothing is random, so
-a build depends on f and its config alone.  Phase 2 refines each
-factor's Chebyshev grid (2n-1 nesting) until every column's
+a build depends on f and its config alone.  The first unfolding whose
+rank is too high for its grid ends that grid at once: phase 1 samples
+no more of it and starts over on the next larger one.  Phase 2 refines
+each factor's Chebyshev grid (2n-1 nesting) until every column's
 coefficient tail is resolved; only unresolved columns are sampled, and
 resolved ones are extended by their own interpolant.  Phase 3
 orthonormalizes the factors, picks interpolation rows by DEIM, samples
@@ -53,6 +55,7 @@ EVAL_BLOCK = 1 << 20  # entries per evaluation array: points x max(degree, r2*r3
 class ConstructorConfig:
     tol: float = 1e-12
     max_restarts: int = 5
+    # caps phase-2 refinement only; the coarse grid, and so a fiber, may be larger
     max_fine_size: int = 2**14 + 1
 
     def __post_init__(self):
@@ -168,6 +171,12 @@ def phase1_factors(oracle, cfg, dims, guesses, draws):
 
     The first index sets of modes 2 and 3 are _spread draws, numbered by
     the iterator draws, which runs on across the attempts of a build.
+    After each unfolding's ACA, a rank above RANK_RATIO_THRESHOLD of its
+    grid size condemns the grid, unless _grow cannot enlarge it: no
+    further unfolding of it is sampled, and selection restarts on the
+    grown grid with every mode's current index-set size as its guess.
+    The grid that is kept runs both sweeps; a rank of 1 after the first
+    sweep ends it early.
     Returns (mode_fibers, dims, ranks), or None when the function is
     numerically zero on the initial probe.
     """
@@ -177,30 +186,27 @@ def phase1_factors(oracle, cfg, dims, guesses, draws):
         pts = [cheb_points(n) for n in dims]
         idx = [[]] + [_spread(n, g, next(draws)) for n, g in zip(dims[1:], guesses[1:])]
         fibers = [None, None, None]
-        for _ in range(2):
-            for a in range(3):
-                # the unfolding's columns run over the other modes b < c, b fastest
-                b, c = (m for m in range(3) if m != a)
-                sel = list(idx)
-                sel[a] = range(dims[a])
-                mat = matricize(subtensor(oracle, dims, *sel), a + 1)
-                # vscale is a running max: 0 means every sample so far was zero
-                if oracle.vscale == 0.0:
-                    return None
-                idx[a], cols = _aca_on_matrix(mat, cfg.tol)
-                kc, kb = np.divmod(cols, len(idx[b]))
-                coords = np.column_stack((pts[b][np.take(idx[b], kb)], pts[c][np.take(idx[c], kc)]))
-                fibers[a] = ModeFibers(a + 1, mat[:, cols], coords)
-
-            ranks = tuple(len(i) for i in idx)
-            too_high = any(r / n > RANK_RATIO_THRESHOLD for r, n in zip(ranks, dims))
-            if too_high and _grow(dims) != dims:
+        for sweep, a in itertools.product(range(2), range(3)):
+            # the unfolding's columns run over the other modes b < c, b fastest
+            b, c = (m for m in range(3) if m != a)
+            sel = list(idx)
+            sel[a] = range(dims[a])
+            mat = matricize(subtensor(oracle, dims, *sel), a + 1)
+            # vscale is a running max: 0 means every sample so far was zero
+            if oracle.vscale == 0.0:
+                return None
+            idx[a], cols = _aca_on_matrix(mat, cfg.tol)
+            # a rank this high condemns the grid: grow it now, sample no more of this one
+            if len(idx[a]) / dims[a] > RANK_RATIO_THRESHOLD and _grow(dims) != dims:
                 break
-            if min(ranks) <= 1:
+            kc, kb = np.divmod(cols, len(idx[b]))
+            coords = np.column_stack((pts[b][np.take(idx[b], kb)], pts[c][np.take(idx[c], kc)]))
+            fibers[a] = ModeFibers(a + 1, mat[:, cols], coords)
+            ranks = tuple(len(i) for i in idx)
+            if a == 2 and (sweep == 1 or min(ranks) <= 1):
                 return fibers, dims, ranks
-        else:
-            return fibers, dims, ranks
-        dims, guesses = _grow(dims), tuple(max(r, 1) for r in ranks)
+        # modes not sampled on this grid keep their spread sizes as guesses
+        dims, guesses = _grow(dims), tuple(max(len(i), 1) for i in idx)
 
 
 def phase2_refine(oracle, mode_fibers, cfg):

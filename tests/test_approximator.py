@@ -83,7 +83,7 @@ class TestHelpers:
         for bad in (-1, 1.5, "2", None):
             with pytest.raises(ValueError):
                 ConstructorConfig(max_restarts=bad)
-        # the fiber grid must hold the 17-point initial coarse grid
+        # the refinement cap may not be below the 17-point initial coarse grid
         for bad in (0, 3, 16, 33.0, "33", None):
             with pytest.raises(ValueError):
                 ConstructorConfig(max_fine_size=bad)
@@ -186,6 +186,40 @@ class TestBuildBehavior:
         assert approx.stats["restarts"] == 2
         assert max(approx.stats["coarse_dims"]) > 17
 
+    def test_condemned_grid_is_left_at_first_high_rank(self, monkeypatch):
+        # phase 1 samples no unfolding of a coarse grid after the first one
+        # whose rank exceeds RANK_RATIO_THRESHOLD of its size; the grid it
+        # keeps runs both sweeps over all three modes
+        unfoldings = []  # [grid dims, ACA rank] per phase-1 unfolding, in order
+        real_subtensor, real_aca = approximator.subtensor, approximator._aca_on_matrix
+
+        def sampling(oracle, dims, *sel):
+            if oracle.phase == "phase1":
+                unfoldings.append([tuple(dims), None])
+            return real_subtensor(oracle, dims, *sel)
+
+        def cross(m, tol_rel):
+            rows, cols = real_aca(m, tol_rel)
+            unfoldings[-1][1] = len(rows)
+            return rows, cols
+
+        monkeypatch.setattr(approximator, "subtensor", sampling)
+        monkeypatch.setattr(approximator, "_aca_on_matrix", cross)
+        s = build(catalog.get("logmix"), ConstructorConfig(tol=1e-10)).stats
+        assert s["restarts"] == 0
+        grids = {}
+        for dims, rank in unfoldings:
+            grids.setdefault(dims, []).append(rank)
+        *condemned, (last_dims, last_ranks) = grids.items()
+        assert list(last_dims) == s["coarse_dims"] and len(condemned) >= 2
+
+        def too_high(dims, ranks):
+            return [r / dims[k % 3] > approximator.RANK_RATIO_THRESHOLD for k, r in enumerate(ranks)]
+
+        for dims, ranks in condemned:
+            assert too_high(dims, ranks) == [False] * (len(ranks) - 1) + [True], (dims, ranks)
+        assert too_high(last_dims, last_ranks) == [False] * 6
+
     def test_phase2_samples_only_unresolved_columns(self):
         # column 0 resolves on the 17-point grid; column 1 needs a finer one
         f = lambda x, y, z: 1.0 / (1.0 + 400.0 * (y * x) ** 2)
@@ -224,16 +258,16 @@ class TestBuildBehavior:
         # ranks, degrees and evaluation counts of the current algorithm on a
         # catalog function; any change to them is a change of algorithm
         s = build(catalog.get("expdist"), ConstructorConfig(tol=1e-10)).stats
-        assert s["ranks"] == [29, 29, 29]
+        assert s["ranks"] == [28, 28, 29]
         assert s["degrees"] == [721, 721, 721]
         assert s["coarse_dims"] == [91, 91, 91]
         assert s["restarts"] == 0
-        assert s["distinct_points"] == 414264
-        assert s["total_calls"] == 657201
+        assert s["distinct_points"] == 308145
+        assert s["total_calls"] == 443760
         assert s["evals"] == {
-            "phase1": {"total": 627652, "distinct": 384723},
+            "phase1": {"total": 415864, "distinct": 280276},
             "phase2": {"total": 5130, "distinct": 5130},
-            "phase3_core": {"total": 24389, "distinct": 24381},
+            "phase3_core": {"total": 22736, "distinct": 22709},
             "verify": {"total": 30, "distinct": 30},
         }
 
@@ -246,10 +280,10 @@ class TestBuildBehavior:
         assert s["coarse_dims"] == [182, 182, 182]
         assert s["restarts"] == 4
         assert s["certified"] is True
-        assert s["distinct_points"] == 1266236
-        assert s["total_calls"] == 1648623
+        assert s["distinct_points"] == 1257088
+        assert s["total_calls"] == 1624458
         assert s["evals"] == {
-            "phase1": {"total": 1457624, "distinct": 1129233},
+            "phase1": {"total": 1433459, "distinct": 1120085},
             "phase2": {"total": 166646, "distinct": 112967},
             "phase3_core": {"total": 24203, "distinct": 24006},
             "verify": {"total": 150, "distinct": 30},
@@ -273,7 +307,7 @@ class TestBuildBehavior:
         assert s["coarse_dims"] == [65, 65, 65]
         assert s["restarts"] == 2
         assert s["certified"] is False
-        assert s["distinct_points"] == 387021
+        assert s["distinct_points"] == 377384
         pts = halton_points(HALTON_COUNT)
         errs = [float(np.max(np.abs(f(*pts.T) - a.evaluate_many(pts)))) for a in made]
         assert len(made) == 3 and approx is made[1]
