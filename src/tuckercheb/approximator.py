@@ -3,7 +3,7 @@
 Phase 1 alternates cross approximation over lazily sampled coarse-grid
 subtensors to pick fiber indices and factor matrices, starting from
 evenly spread indices on modes 2 and 3 (_spread); nothing is random, so
-a build depends on f and its config alone.  The first unfolding whose
+a build depends on f and tol alone.  The first unfolding whose
 rank is too high for its grid ends that grid at once: phase 1 samples
 no more of it and starts over on the next larger one.  Phase 2 refines
 each factor's Chebyshev grid (2n-1 nesting) until every column's
@@ -12,11 +12,11 @@ resolved ones are extended by their own interpolant.  Phase 3
 orthonormalizes the factors, picks interpolation rows by DEIM, samples
 the r1*r2*r3 core entries, and checks the result at Halton points.
 build repeats the three phases on a larger coarse grid until the check
-passes or cfg.max_restarts restarts are spent, and returns the attempt
-with the lowest Halton error.
+passes or MAX_RESTARTS restarts are spent, and returns the attempt with
+the lowest Halton error.
 
 The fixed choices of the method are module constants: a 17^3 initial
-coarse grid (COARSE_DIMS), initial rank guesses of 6 per mode
+coarse grid (COARSE_DIMS), initial rank guesses of 6 on modes 2 and 3
 (RANK_GUESSES), coarse-grid growth when a rank exceeds 1/(2*sqrt(2)) of
 its grid size (RANK_RATIO_THRESHOLD), 30 Halton verification points
 (HALTON_COUNT) and acceptance at 10*tol*vscale (ACCEPTANCE_FACTOR).
@@ -42,10 +42,13 @@ from .oracle import InstrumentedOracle
 from .tensor import matricize, subtensor
 
 COARSE_DIMS = (17, 17, 17)
-RANK_GUESSES = (6, 6, 6)
+RANK_GUESSES = (6, 6)  # modes 2 and 3; phase 1 starts on mode 1
 RANK_RATIO_THRESHOLD = 1.0 / (2.0 * math.sqrt(2.0))
 HALTON_COUNT = 30
 ACCEPTANCE_FACTOR = 10.0
+MAX_RESTARTS = 5
+# caps phase-2 refinement only; the coarse grid, and so a fiber, may be larger
+MAX_FINE_SIZE = 2**14 + 1
 MAX_COARSE_SIZE = 2000
 MAX_RANK = 512
 EVAL_BLOCK = 1 << 20  # entries per evaluation array: points x max(degree, r2*r3), 8 MB
@@ -54,18 +57,10 @@ EVAL_BLOCK = 1 << 20  # entries per evaluation array: points x max(degree, r2*r3
 @dataclass
 class ConstructorConfig:
     tol: float = 1e-12
-    max_restarts: int = 5
-    # caps phase-2 refinement only; the coarse grid, and so a fiber, may be larger
-    max_fine_size: int = 2**14 + 1
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError("tol must be positive and finite")
-        if not (isinstance(self.max_restarts, (int, np.integer)) and self.max_restarts >= 0):
-            raise ValueError("max_restarts must be a non-negative integer")
-        n0 = COARSE_DIMS[0]
-        if not (isinstance(self.max_fine_size, (int, np.integer)) and self.max_fine_size >= n0):
-            raise ValueError(f"max_fine_size must be an integer >= {n0}, the initial coarse size")
 
 
 @dataclass
@@ -166,7 +161,7 @@ def _spread(n, g, t):
     return list(np.floor((np.arange(g) + o) * n / g).astype(int))
 
 
-def phase1_factors(oracle, cfg, dims, guesses, draws):
+def phase1_factors(oracle, tol, dims, guesses, draws):
     """Alternating fiber selection (two sweeps) on the coarse grid.
 
     The first index sets of modes 2 and 3 are _spread draws, numbered by
@@ -174,7 +169,7 @@ def phase1_factors(oracle, cfg, dims, guesses, draws):
     After each unfolding's ACA, a rank above RANK_RATIO_THRESHOLD of its
     grid size condemns the grid, unless _grow cannot enlarge it: no
     further unfolding of it is sampled, and selection restarts on the
-    grown grid with every mode's current index-set size as its guess.
+    grown grid with modes 2 and 3's current index-set sizes as guesses.
     The grid that is kept runs both sweeps; a rank of 1 after the first
     sweep ends it early.
     Returns (mode_fibers, dims, ranks), or None when the function is
@@ -184,7 +179,7 @@ def phase1_factors(oracle, cfg, dims, guesses, draws):
     guesses = tuple(guesses)
     while True:
         pts = [cheb_points(n) for n in dims]
-        idx = [[]] + [_spread(n, g, next(draws)) for n, g in zip(dims[1:], guesses[1:])]
+        idx = [[]] + [_spread(n, g, next(draws)) for n, g in zip(dims[1:], guesses)]
         fibers = [None, None, None]
         for sweep, a in itertools.product(range(2), range(3)):
             # the unfolding's columns run over the other modes b < c, b fastest
@@ -195,7 +190,7 @@ def phase1_factors(oracle, cfg, dims, guesses, draws):
             # vscale is a running max: 0 means every sample so far was zero
             if oracle.vscale == 0.0:
                 return None
-            idx[a], cols = _aca_on_matrix(mat, cfg.tol)
+            idx[a], cols = _aca_on_matrix(mat, tol)
             # a rank this high condemns the grid: grow it now, sample no more of this one
             if len(idx[a]) / dims[a] > RANK_RATIO_THRESHOLD and _grow(dims) != dims:
                 break
@@ -206,18 +201,18 @@ def phase1_factors(oracle, cfg, dims, guesses, draws):
             if a == 2 and (sweep == 1 or min(ranks) <= 1):
                 return fibers, dims, ranks
         # modes not sampled on this grid keep their spread sizes as guesses
-        dims, guesses = _grow(dims), tuple(max(len(i), 1) for i in idx)
+        dims, guesses = _grow(dims), tuple(max(len(i), 1) for i in idx[1:])
 
 
-def phase2_refine(oracle, mode_fibers, cfg):
+def phase2_refine(oracle, mode_fibers, tol):
     """Refine each mode's fiber grid until every column is resolved.
 
     A column is resolved once chebyshev.is_resolved accepts its
-    coefficients.  Each refinement (n -> 2n-1) keeps the old samples at
+    coefficients at tol.  Each refinement (n -> 2n-1) keeps the old samples at
     the even indices.  Only unresolved columns are sampled at the new
     odd-index points; a resolved column takes its new values from its own
     Chebyshev interpolant.  A mode's grid grows until its last column is
-    resolved or the next size would exceed cfg.max_fine_size.
+    resolved or the next size would exceed MAX_FINE_SIZE.
     Returns (fine_fibers, fine_dims, unresolved_modes).
     """
     fine = []
@@ -230,10 +225,10 @@ def phase2_refine(oracle, mode_fibers, cfg):
         done = np.zeros(r, dtype=bool)
         while True:
             coeffs = vals_to_coeffs(vals)
-            done |= [is_resolved(coeffs[:, c], cfg.tol, oracle.vscale) for c in range(r)]
+            done |= [is_resolved(coeffs[:, c], tol, oracle.vscale) for c in range(r)]
             if done.all():
                 break
-            if refine_size(n) > cfg.max_fine_size:
+            if refine_size(n) > MAX_FINE_SIZE:
                 unresolved.append(mf.mode)
                 break
             n_new = refine_size(n)
@@ -290,8 +285,8 @@ def _modified_guesses(ranks):
     )
 
 
-def _accepted(err, cfg, oracle):
-    return bool(err <= ACCEPTANCE_FACTOR * cfg.tol * oracle.vscale)
+def _accepted(err, tol, vscale):
+    return bool(err <= ACCEPTANCE_FACTOR * tol * vscale)
 
 
 def build(f, config=None, vectorized=True):
@@ -302,16 +297,16 @@ def build(f, config=None, vectorized=True):
     and carries construction stats; see the 'certified' flag for whether
     it passed the Halton check.
     """
-    cfg = config if config is not None else ConstructorConfig()
+    tol = (config if config is not None else ConstructorConfig()).tol
     oracle = InstrumentedOracle(f, vectorized=vectorized)
     draws = itertools.count(1)
 
     dims = COARSE_DIMS
     guesses = RANK_GUESSES
     best = None  # (err, approx, coarse_dims, unresolved, mixing_norms)
-    for restarts in range(cfg.max_restarts + 1):
+    for restarts in range(MAX_RESTARTS + 1):
         oracle.set_phase("phase1")
-        p1 = phase1_factors(oracle, cfg, dims, guesses, draws)
+        p1 = phase1_factors(oracle, tol, dims, guesses, draws)
         if p1 is None:
             zero = TuckerApproximant(core=np.zeros((1, 1, 1)), coeffs=(np.zeros((1, 1)),) * 3)
             best = (0.0, zero, dims, [], [1.0] * 3)
@@ -319,7 +314,7 @@ def build(f, config=None, vectorized=True):
         mode_fibers, dims, ranks = p1
 
         oracle.set_phase("phase2")
-        fine_fibers, fine_dims, unresolved = phase2_refine(oracle, mode_fibers, cfg)
+        fine_fibers, fine_dims, unresolved = phase2_refine(oracle, mode_fibers, tol)
 
         oracle.set_phase("phase3_core")
         try:
@@ -333,9 +328,9 @@ def build(f, config=None, vectorized=True):
             err = float(np.max(np.abs(fvals - approx.evaluate_many(pts))))
             if best is None or err < best[0]:
                 best = (err, approx, dims, unresolved, mixing_norms)
-            if _accepted(err, cfg, oracle):
+            if _accepted(err, tol, oracle.vscale):
                 break
-        guesses = _modified_guesses(ranks)
+        guesses = _modified_guesses(ranks[1:])
         dims = _grow(dims)
 
     if best is None:
@@ -343,7 +338,7 @@ def build(f, config=None, vectorized=True):
     err, approx, coarse_dims, unresolved, mixing_norms = best
     approx.stats = {
         "schema_version": 2,
-        "tol": cfg.tol,
+        "tol": tol,
         "ranks": list(approx.ranks),
         "degrees": list(approx.degrees),
         "coarse_dims": list(coarse_dims),
@@ -351,7 +346,7 @@ def build(f, config=None, vectorized=True):
         "vscale": oracle.vscale,
         "halton_error": err,
         # judged at the final vscale, which the later attempts may have raised
-        "certified": _accepted(err, cfg, oracle),
+        "certified": _accepted(err, tol, oracle.vscale),
         "unresolved_modes": unresolved,
         "mixing_norms": mixing_norms,
         "evals": {p: {"total": t, "distinct": d} for p, (t, d) in oracle.counts.items()},

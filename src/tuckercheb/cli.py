@@ -163,14 +163,13 @@ def fiber_degree(fn, tol):
     until its coefficient tail is resolved at tol relative to the fiber
     scale, then chopped.
     """
-    cfg = ConstructorConfig(tol=tol)
     # not through cli.cheb_points, which sets only the study's HOSVD grid
     x = chebyshev.cheb_points(17)
     best = 0
     for yz in ((-1.0, -1.0), (0.0, 0.0), (1.0, 1.0)):
         oracle = InstrumentedOracle(fn)
         vals = oracle.eval_points(x, np.full(x.size, yz[0]), np.full(x.size, yz[1]))
-        fine, _, _ = phase2_refine(oracle, [ModeFibers(1, vals[:, None], [yz])], cfg)
+        fine, _, _ = phase2_refine(oracle, [ModeFibers(1, vals[:, None], [yz])], tol)
         coeffs = vals_to_coeffs(fine[0].values[:, 0])
         best = max(best, chop_series(coeffs, tol, oracle.vscale).size - 1)
     return best

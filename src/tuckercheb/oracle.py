@@ -148,6 +148,8 @@ class InstrumentedOracle:
         ys = np.asarray(ys, dtype=float).ravel()
         zs = np.asarray(zs, dtype=float).ravel()
         n = xs.size
+        if not n == ys.size == zs.size:
+            raise ValueError(f"xs, ys and zs differ in size: {n}, {ys.size}, {zs.size}")
         cid, unseen, unseen_ids = self._intern(np.concatenate([xs, ys, zs]))
         keys = (cid[:n] << (2 * _ID_BITS)) | (cid[n : 2 * n] << _ID_BITS) | cid[2 * n :]
         return self._sample(keys, lambda i: (xs[i], ys[i], zs[i]), unseen, unseen_ids)

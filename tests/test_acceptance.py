@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from tuckercheb import catalog, cli
+from tuckercheb import approximator, catalog, cli
 from tuckercheb.approximator import ConstructorConfig, build, halton_points
 from tuckercheb.chebyshev import cheb_points, coeffs_to_vals, eval_series, vals_to_coeffs
 from tuckercheb.cross import aca, build_oblique
@@ -265,10 +265,11 @@ def test_c09_hosvd_rank_agreement(catalog_1e10):
     )
 
 
-def test_c10_error_splitting_bound():
+def test_c10_error_splitting_bound(monkeypatch):
     fn = lambda x, y, z: 1.0 / (1.0 + 10.0 * (x**2 + y**2 + z**2))
-    cfg = ConstructorConfig(tol=1e-12, max_fine_size=33, max_restarts=0)
-    approx = build(fn, cfg)
+    monkeypatch.setattr(approximator, "MAX_FINE_SIZE", 33)
+    monkeypatch.setattr(approximator, "MAX_RESTARTS", 0)
+    approx = build(fn, ConstructorConfig(tol=1e-12))
     dims = approx.degrees
     grids = [cheb_points(n) for n in dims]
 

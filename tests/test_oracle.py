@@ -234,6 +234,20 @@ class TestSampleStore:
             oracle.eval_points([0.5, 0.1], [0.0, np.nan], [0.0, 0.0])
         assert _state(oracle) == before
 
+    def test_unequal_sizes_raise_and_change_nothing(self):
+        # the keys were sliced at xs.size, so a stored pair of points answered
+        # for a call with three different sizes
+        oracle = InstrumentedOracle(lambda x, y, z: x + 10 * y + 100 * z)
+        oracle.eval_points([0.1, 0.2], [0.3, 0.4], [0.5, 0.6])
+        before = _state(oracle), oracle._keys.copy(), oracle._coords.copy()
+        with pytest.raises(ValueError, match="2, 3, 1"):
+            oracle.eval_points([0.1, 0.2], [0.3, 0.4, 0.5], [0.6])
+        assert _state(oracle) == before[0]
+        np.testing.assert_array_equal(oracle._keys, before[1])
+        np.testing.assert_array_equal(oracle._coords, before[2])
+        with pytest.raises(ValueError, match="2, 3, 1"):
+            InstrumentedOracle(lambda x, y, z: x).eval_points([0.1, 0.2], [0.3, 0.4, 0.5], [0.6])
+
     def test_coordinate_capacity(self):
         # 2**21 coordinate ids fill the 21-bit fields of a key; the next one
         # must raise rather than collide
