@@ -13,7 +13,12 @@ orthonormalizes the factors, picks interpolation rows by DEIM, samples
 the r1*r2*r3 core entries, and checks the result at Halton points.
 build repeats the three phases on a larger coarse grid until the check
 passes or MAX_RESTARTS restarts are spent, and returns the attempt with
-the lowest Halton error.
+the lowest Halton error.  A restart keeps the failed attempt's ranks as
+the first index-set sizes of modes 2 and 3, and doubles one only when
+another mode is capped, its rank reaching the product of its partners'
+ranks: an unfolding sampled on J x K has rank at most
+min(|J|, r_b)*min(|K|, r_c), so there the samples may be what limit it.
+Ranks of 2 or less restart at 3 (_modified_guesses).
 
 The fixed choices of the method are module constants: a 17^3 initial
 coarse grid (COARSE_DIMS), initial rank guesses of 6 on modes 2 and 3
@@ -279,9 +284,16 @@ def phase3_core(oracle, fine_fibers, fine_dims):
 
 
 def _modified_guesses(ranks):
-    # collapsed modes restart small; the rest get room to grow
+    # rank guesses for modes 2 and 3 from all three ranks of a failed attempt:
+    # collapsed modes restart small, and a mode doubles only if another mode
+    # is capped (its rank reaches the product of its partners' ranks), since
+    # samples on J x K give an unfolding rank at most min(|J|, r_b)*min(|K|, r_c)
+    capped = [ranks[a] >= math.prod(ranks) // ranks[a] for a in range(3)]
     return tuple(
-        3 if r <= 2 else min(max(6, 2 * r), MAX_RANK) for r in ranks
+        3 if ranks[b] <= 2
+        else min(2 * ranks[b], MAX_RANK) if any(capped[a] for a in range(3) if a != b)
+        else ranks[b]
+        for b in (1, 2)
     )
 
 
@@ -330,7 +342,7 @@ def build(f, config=None, vectorized=True):
                 best = (err, approx, dims, unresolved, mixing_norms)
             if _accepted(err, tol, oracle.vscale):
                 break
-        guesses = _modified_guesses(ranks[1:])
+        guesses = _modified_guesses(ranks)
         dims = _grow(dims)
 
     if best is None:

@@ -77,6 +77,15 @@ class TestHelpers:
             sizes.append(grow_size(sizes[-1]))
         assert sizes == [17, 23, 33, 46, 65, 91, 129, 182, 257]
 
+    def test_modified_guesses_double_only_under_a_capped_mode(self):
+        # a mode is capped when its rank reaches the product of its two
+        # partners' ranks; only then may the samples, not f, limit a rank
+        g = approximator._modified_guesses
+        assert g((19, 19, 19)) == (19, 19)
+        assert g((6, 1, 6)) == (3, 12)
+        assert g((114, 114, 1)) == (228, 3)
+        assert g((1, 1, 1)) == (3, 3)
+
     def test_config_validation(self):
         for tol in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
@@ -279,14 +288,30 @@ class TestBuildBehavior:
         assert s["coarse_dims"] == [182, 182, 182]
         assert s["restarts"] == 4
         assert s["certified"] is True
-        assert s["distinct_points"] == 1257088
-        assert s["total_calls"] == 1624458
+        assert s["distinct_points"] == 812164
+        assert s["total_calls"] == 1043024
         assert s["evals"] == {
-            "phase1": {"total": 1433459, "distinct": 1120085},
+            "phase1": {"total": 852025, "distinct": 675183},
             "phase2": {"total": 166646, "distinct": 112967},
-            "phase3_core": {"total": 24203, "distinct": 24006},
+            "phase3_core": {"total": 24203, "distinct": 23984},
             "verify": {"total": 150, "distinct": 30},
         }
+
+    def test_degenerate_tanh_restarts_past_its_rank_one_mode(self):
+        # mode 2 has rank 1, so modes 1 and 3 are bounded by each other's
+        # rank alone (6 >= 6*1): without doubling it stalls at (6, 1, 6)
+        s = build(catalog.get("degenerate-tanh"), ConstructorConfig(tol=1e-10)).stats
+        assert s["ranks"] == [60, 1, 60]
+        assert s["restarts"] == 4
+        assert s["certified"] is True
+
+    def test_collapsed_third_mode_does_not_stall_the_others(self):
+        # mode 3 has rank 1, so modes 1 and 2 are bounded by each other's
+        # rank alone (114 >= 114*1): their guesses must still grow
+        f = lambda x, y, z: np.tanh(10 * (x + y)) * np.cos(z)
+        s = build(f, ConstructorConfig(tol=1e-10)).stats
+        assert s["ranks"] == [114, 114, 1]
+        assert s["certified"] is True
 
     def test_uncertified_build_returns_best_attempt(self, monkeypatch):
         # runge3@1e-10 certifies after four restarts; cut at two, the 65^3
@@ -307,7 +332,7 @@ class TestBuildBehavior:
         assert s["coarse_dims"] == [65, 65, 65]
         assert s["restarts"] == 2
         assert s["certified"] is False
-        assert s["distinct_points"] == 377384
+        assert s["distinct_points"] == 287267
         pts = halton_points(HALTON_COUNT)
         errs = [float(np.max(np.abs(f(*pts.T) - a.evaluate_many(pts)))) for a in made]
         assert len(made) == 3 and approx is made[1]
