@@ -1,27 +1,24 @@
 """Three-phase fiber-based constructor for functional Tucker approximants.
 
-Phase 1 alternates cross approximation over lazily sampled coarse-grid
-subtensors to pick fiber indices and factor matrices, starting from
-evenly spread indices on modes 2 and 3 (_spread); nothing is random, so
-a build depends on f and tol alone.  The first unfolding whose
-rank is too high for its grid ends that grid at once: phase 1 samples
-no more of it and starts over on the next larger one.  Phase 2 refines
-each factor's Chebyshev grid (2n-1 nesting) until every column's
+Phase 1 alternates cross approximation over lazily sampled subtensors of
+an n^3 coarse grid to pick fiber indices and factor matrices, starting
+from evenly spread indices on modes 2 and 3 (_spread); nothing is
+random, so a build depends on f and tol alone.  The first unfolding
+whose rank is too high for its grid ends that grid at once: phase 1
+samples no more of it and starts over on the next larger one.  Phase 2
+refines each factor's Chebyshev grid (2n-1 nesting) until every column's
 coefficient tail is resolved; only unresolved columns are sampled, and
 resolved ones are extended by their own interpolant.  Phase 3
 orthonormalizes the factors, picks interpolation rows by DEIM, samples
 the r1*r2*r3 core entries, and checks the result at Halton points.
 build repeats the three phases on a larger coarse grid until the check
 passes or MAX_RESTARTS restarts are spent, and returns the attempt with
-the lowest Halton error.  A restart keeps the failed attempt's ranks as
-the first index-set sizes of modes 2 and 3, and doubles one only when
-another mode is capped, its rank reaching the product of its partners'
-ranks: an unfolding sampled on J x K has rank at most
-min(|J|, r_b)*min(|K|, r_c), so there the samples may be what limit it.
-Ranks of 2 or less restart at 3 (_modified_guesses).
+the lowest Halton error.  A condemned phase-1 grid and a failed attempt
+grow the grid the same way: the next grid's first index sets on modes 2
+and 3 are _modified_guesses of the three index-set sizes reached.
 
 The fixed choices of the method are module constants: a 17^3 initial
-coarse grid (COARSE_DIMS), initial rank guesses of 6 on modes 2 and 3
+coarse grid (COARSE_SIZE), initial rank guesses of 6 on modes 2 and 3
 (RANK_GUESSES), coarse-grid growth when a rank exceeds 1/(2*sqrt(2)) of
 its grid size (RANK_RATIO_THRESHOLD), 30 Halton verification points
 (HALTON_COUNT) and acceptance at 10*tol*vscale (ACCEPTANCE_FACTOR).
@@ -46,7 +43,7 @@ from .cross import DegenerateInputError, aca, build_oblique
 from .oracle import InstrumentedOracle
 from .tensor import matricize, subtensor
 
-COARSE_DIMS = (17, 17, 17)
+COARSE_SIZE = 17  # the coarse grid is n^3
 RANK_GUESSES = (6, 6)  # modes 2 and 3; phase 1 starts on mode 1
 RANK_RATIO_THRESHOLD = 1.0 / (2.0 * math.sqrt(2.0))
 HALTON_COUNT = 30
@@ -75,7 +72,7 @@ class ModeFibers:
 
     mode: int
     values: np.ndarray
-    coords: np.ndarray  # (r, 2); phase2_refine also takes a list of pairs
+    coords: np.ndarray  # (r, 2)
 
 
 @dataclass
@@ -105,6 +102,8 @@ class TuckerApproximant:
         holds at most EVAL_BLOCK entries in each array, at any degree.
         """
         pts = np.asarray(pts, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != 3:
+            raise ValueError(f"points must be an (m, 3) array, got shape {pts.shape}")
         r1, r2, r3 = self.core.shape
         core = self.core.reshape(r1, r2 * r3)
         step = max(1, EVAL_BLOCK // max(*self.degrees, r2 * r3))
@@ -119,6 +118,8 @@ def halton_points(count, offset=0):
     """Halton sequence in bases (2, 3, 5), mapped from (0,1) to (-1,1)."""
     if count < 1:
         raise ValueError("count must be positive")
+    if offset < 0:
+        raise ValueError("offset must be nonnegative")
     # radical inverses of all indices in all bases at once; spent digits add 0.0
     base = np.array([2, 3, 5])
     i = np.repeat(np.arange(offset + 1, offset + 1 + count)[:, None], 3, axis=1)
@@ -136,9 +137,9 @@ def grow_size(n):
     return int(math.floor(math.sqrt(2.0) ** math.floor(2.0 * math.log2(n) + 1.0))) + 1
 
 
-def _grow(dims):
-    """The next coarse grid: grow_size on every mode, capped at MAX_COARSE_SIZE."""
-    return tuple(min(grow_size(n), MAX_COARSE_SIZE) for n in dims)
+def _grow(n):
+    """The next coarse grid size: grow_size, capped at MAX_COARSE_SIZE."""
+    return min(grow_size(n), MAX_COARSE_SIZE)
 
 
 def _aca_on_matrix(m, tol_rel):
@@ -166,47 +167,45 @@ def _spread(n, g, t):
     return list(np.floor((np.arange(g) + o) * n / g).astype(int))
 
 
-def phase1_factors(oracle, tol, dims, guesses, draws):
-    """Alternating fiber selection (two sweeps) on the coarse grid.
+def phase1_factors(oracle, tol, n, guesses, draws):
+    """Alternating fiber selection (two sweeps) on the n^3 coarse grid.
 
-    The first index sets of modes 2 and 3 are _spread draws, numbered by
-    the iterator draws, which runs on across the attempts of a build.
-    After each unfolding's ACA, a rank above RANK_RATIO_THRESHOLD of its
-    grid size condemns the grid, unless _grow cannot enlarge it: no
-    further unfolding of it is sampled, and selection restarts on the
-    grown grid with modes 2 and 3's current index-set sizes as guesses.
+    The first index sets of modes 2 and 3 are _spread draws of guesses[0]
+    and guesses[1] indices, numbered by the iterator draws, which runs on
+    across the attempts of a build.  After each unfolding's ACA, a rank above
+    RANK_RATIO_THRESHOLD of n condemns the grid, unless _grow cannot
+    enlarge it: no further unfolding of it is sampled, and selection
+    starts again on the grown grid with _modified_guesses of the three
+    index-set sizes reached, as build does after a failed attempt.
     The grid that is kept runs both sweeps; a rank of 1 after the first
     sweep ends it early.
-    Returns (mode_fibers, dims, ranks), or None when the function is
+    Returns (mode_fibers, n, ranks), or None when the function is
     numerically zero on the initial probe.
     """
-    dims = tuple(dims)
-    guesses = tuple(guesses)
     while True:
-        pts = [cheb_points(n) for n in dims]
-        idx = [[]] + [_spread(n, g, next(draws)) for n, g in zip(dims[1:], guesses)]
+        pts = cheb_points(n)
+        idx = [[]] + [_spread(n, g, next(draws)) for g in guesses]
         fibers = [None, None, None]
         for sweep, a in itertools.product(range(2), range(3)):
             # the unfolding's columns run over the other modes b < c, b fastest
             b, c = (m for m in range(3) if m != a)
             sel = list(idx)
-            sel[a] = range(dims[a])
-            mat = matricize(subtensor(oracle, dims, *sel), a + 1)
+            sel[a] = range(n)
+            mat = matricize(subtensor(oracle, (n, n, n), *sel), a + 1)
             # vscale is a running max: 0 means every sample so far was zero
             if oracle.vscale == 0.0:
                 return None
             idx[a], cols = _aca_on_matrix(mat, tol)
-            # a rank this high condemns the grid: grow it now, sample no more of this one
-            if len(idx[a]) / dims[a] > RANK_RATIO_THRESHOLD and _grow(dims) != dims:
-                break
-            kc, kb = np.divmod(cols, len(idx[b]))
-            coords = np.column_stack((pts[b][np.take(idx[b], kb)], pts[c][np.take(idx[c], kc)]))
-            fibers[a] = ModeFibers(a + 1, mat[:, cols], coords)
             ranks = tuple(len(i) for i in idx)
+            # a rank this high condemns the grid: grow it now, sample no more of this one
+            if ranks[a] / n > RANK_RATIO_THRESHOLD and _grow(n) != n:
+                break
+            kc, kb = np.divmod(cols, ranks[b])
+            coords = np.column_stack((pts[np.take(idx[b], kb)], pts[np.take(idx[c], kc)]))
+            fibers[a] = ModeFibers(a + 1, mat[:, cols], coords)
             if a == 2 and (sweep == 1 or min(ranks) <= 1):
-                return fibers, dims, ranks
-        # modes not sampled on this grid keep their spread sizes as guesses
-        dims, guesses = _grow(dims), tuple(max(len(i), 1) for i in idx[1:])
+                return fibers, n, ranks
+        n, guesses = _grow(n), _modified_guesses(ranks)
 
 
 def phase2_refine(oracle, mode_fibers, tol):
@@ -226,7 +225,7 @@ def phase2_refine(oracle, mode_fibers, tol):
     for mf in mode_fibers:
         vals = mf.values
         n, r = vals.shape
-        a, b = np.asarray(mf.coords, dtype=float).T
+        a, b = mf.coords.T
         done = np.zeros(r, dtype=bool)
         while True:
             coeffs = vals_to_coeffs(vals)
@@ -284,10 +283,11 @@ def phase3_core(oracle, fine_fibers, fine_dims):
 
 
 def _modified_guesses(ranks):
-    # rank guesses for modes 2 and 3 from all three ranks of a failed attempt:
-    # collapsed modes restart small, and a mode doubles only if another mode
-    # is capped (its rank reaches the product of its partners' ranks), since
-    # samples on J x K give an unfolding rank at most min(|J|, r_b)*min(|K|, r_c)
+    # rank guesses for modes 2 and 3 on the next grid, from the three index-set
+    # sizes reached: collapsed modes restart at 3, and a mode doubles only if
+    # another mode is capped (its rank reaches the product of its partners'
+    # ranks), since samples on J x K give an unfolding rank at most
+    # min(|J|, r_b)*min(|K|, r_c), so there the samples may be what limit it
     capped = [ranks[a] >= math.prod(ranks) // ranks[a] for a in range(3)]
     return tuple(
         3 if ranks[b] <= 2
@@ -313,17 +313,17 @@ def build(f, config=None, vectorized=True):
     oracle = InstrumentedOracle(f, vectorized=vectorized)
     draws = itertools.count(1)
 
-    dims = COARSE_DIMS
+    n = COARSE_SIZE
     guesses = RANK_GUESSES
-    best = None  # (err, approx, coarse_dims, unresolved, mixing_norms)
+    best = None  # (err, approx, coarse size, unresolved, mixing_norms)
     for restarts in range(MAX_RESTARTS + 1):
         oracle.set_phase("phase1")
-        p1 = phase1_factors(oracle, tol, dims, guesses, draws)
+        p1 = phase1_factors(oracle, tol, n, guesses, draws)
         if p1 is None:
             zero = TuckerApproximant(core=np.zeros((1, 1, 1)), coeffs=(np.zeros((1, 1)),) * 3)
-            best = (0.0, zero, dims, [], [1.0] * 3)
+            best = (0.0, zero, n, [], [1.0] * 3)
             break
-        mode_fibers, dims, ranks = p1
+        mode_fibers, n, ranks = p1
 
         oracle.set_phase("phase2")
         fine_fibers, fine_dims, unresolved = phase2_refine(oracle, mode_fibers, tol)
@@ -339,21 +339,20 @@ def build(f, config=None, vectorized=True):
             fvals = oracle.eval_points(pts[:, 0], pts[:, 1], pts[:, 2])
             err = float(np.max(np.abs(fvals - approx.evaluate_many(pts))))
             if best is None or err < best[0]:
-                best = (err, approx, dims, unresolved, mixing_norms)
+                best = (err, approx, n, unresolved, mixing_norms)
             if _accepted(err, tol, oracle.vscale):
                 break
-        guesses = _modified_guesses(ranks)
-        dims = _grow(dims)
+        n, guesses = _grow(n), _modified_guesses(ranks)
 
     if best is None:
         raise DegenerateInputError("every construction attempt failed in phase 3")
-    err, approx, coarse_dims, unresolved, mixing_norms = best
+    err, approx, coarse_size, unresolved, mixing_norms = best
     approx.stats = {
         "schema_version": 2,
         "tol": tol,
         "ranks": list(approx.ranks),
         "degrees": list(approx.degrees),
-        "coarse_dims": list(coarse_dims),
+        "coarse_dims": [coarse_size] * 3,
         "restarts": restarts,
         "vscale": oracle.vscale,
         "halton_error": err,

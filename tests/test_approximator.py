@@ -24,6 +24,8 @@ from tuckercheb.chebyshev import cheb_points
 from tuckercheb.cross import DegenerateInputError
 from tuckercheb.oracle import InstrumentedOracle, SamplingError
 
+from known_answers import EXACT_TUCKER_RANKS, check_points, exact_tucker
+
 STATS_KEYS = {
     "schema_version", "tol", "ranks", "degrees", "coarse_dims",
     "restarts", "vscale", "halton_error", "certified", "unresolved_modes",
@@ -70,6 +72,11 @@ class TestHelpers:
 
     def test_halton_offset_shifts_sequence(self):
         np.testing.assert_array_equal(halton_points(5, offset=2), halton_points(7)[2:])
+
+    def test_halton_negative_offset_raises(self):
+        # the digit loop would floor-divide a negative index forever
+        with pytest.raises(ValueError, match="offset"):
+            halton_points(1, offset=-2)
 
     def test_grow_size_chain(self):
         sizes = [17]
@@ -233,7 +240,7 @@ class TestBuildBehavior:
     def test_phase2_samples_only_unresolved_columns(self):
         # column 0 resolves on the 17-point grid; column 1 needs a finer one
         f = lambda x, y, z: 1.0 / (1.0 + 400.0 * (y * x) ** 2)
-        coords = [(0.005, 0.0), (1.0, 0.0)]
+        coords = np.array([(0.005, 0.0), (1.0, 0.0)])
         oracle = InstrumentedOracle(f)
         x = cheb_points(17)
         vals = np.stack(
@@ -340,6 +347,22 @@ class TestBuildBehavior:
         assert s["halton_error"] == pytest.approx(4.52e-8, rel=1e-2)
         assert errs[2] == pytest.approx(1.52e-6, rel=1e-2)
 
+    def test_condemned_grid_sizes_next_grid_like_a_restart(self, monkeypatch):
+        # the 17^3 grid is condemned at ranks (5, 2, 7); the 23^3 grid starts
+        # from _modified_guesses((5, 2, 7)) = (3, 7), as a failed attempt would
+        spreads = []  # (grid size, index-set size) per _spread draw, in order
+        real = approximator._spread
+
+        def recording(n, g, t):
+            out = real(n, g, t)
+            spreads.append((n, len(out)))
+            return out
+
+        monkeypatch.setattr(approximator, "_spread", recording)
+        s = build(exact_tucker(2), ConstructorConfig(tol=1e-10)).stats
+        assert spreads == [(17, 6), (17, 6), (23, 3), (23, 7)]
+        assert s["coarse_dims"] == [23, 23, 23] and s["ranks"] == [5, 2, 7]
+
     def test_degenerate_attempt_restarts(self, monkeypatch):
         # a singular DEIM matrix ends the attempt; the next one grows the grid
         real = approximator.build_oblique
@@ -379,7 +402,28 @@ class TestBuildBehavior:
         np.testing.assert_allclose(many, single, atol=1e-14)
 
 
+class TestKnownAnswers:
+    @pytest.mark.parametrize("seed", sorted(EXACT_TUCKER_RANKS))
+    def test_exact_tucker_recovered(self, seed):
+        # an exact Tucker polynomial: its ranks are known, so they are pinned
+        f = exact_tucker(seed)
+        tol = 1e-10
+        approx = build(f, ConstructorConfig(tol=tol))
+        s = approx.stats
+        assert s["ranks"] == list(EXACT_TUCKER_RANKS[seed])
+        assert s["certified"] is True
+        pts = check_points()
+        err = np.max(np.abs(approx.evaluate_many(pts) - f(*pts.T)))
+        assert err <= 10 * tol * s["vscale"]
+
+
 class TestApproximantEval:
+    @pytest.mark.parametrize("pts", [[[0.1, 0.2, 0.3, 0.9]], [0.1, 0.2, 0.3], np.zeros((4, 2)), 0.5])
+    def test_rejects_points_not_m_by_3(self, pts):
+        approx = random_approximant(np.random.default_rng(24), (2, 2, 2), (3, 3, 3))
+        with pytest.raises(ValueError, match="shape"):
+            approx.evaluate_many(pts)
+
     def test_manual_rank_one(self):
         # f(x,y,z) = x*y*z written directly in the data structure
         c = np.zeros((2, 1))
