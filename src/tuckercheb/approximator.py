@@ -149,7 +149,7 @@ def _aca_on_matrix(m, tol_rel):
     matrix is identically zero, so downstream machinery always has at
     least one fiber to work with.
     """
-    m0 = float(np.max(np.abs(m))) if m.size else 0.0
+    m0 = float(np.max(np.abs(m)))
     if m0 == 0.0:
         return [0], [0]
     res = aca(m, tol_abs=tol_rel * m0, max_rank=MAX_RANK)
@@ -173,14 +173,13 @@ def phase1_factors(oracle, tol, n, guesses, draws):
     The first index sets of modes 2 and 3 are _spread draws of guesses[0]
     and guesses[1] indices, numbered by the iterator draws, which runs on
     across the attempts of a build.  After each unfolding's ACA, a rank above
-    RANK_RATIO_THRESHOLD of n condemns the grid, unless _grow cannot
-    enlarge it: no further unfolding of it is sampled, and selection
-    starts again on the grown grid with _modified_guesses of the three
-    index-set sizes reached, as build does after a failed attempt.
-    The grid that is kept runs both sweeps; a rank of 1 after the first
-    sweep ends it early.
-    Returns (mode_fibers, n, ranks), or None when the function is
-    numerically zero on the initial probe.
+    RANK_RATIO_THRESHOLD of n condemns the grid: no further unfolding of it
+    is sampled, and selection starts again on the grown grid with
+    _modified_guesses of the three index-set sizes reached, as build does
+    after a failed attempt.  (MAX_RANK keeps every rank below that share
+    of any grid _grow cannot enlarge.)  The grid that is kept runs both
+    sweeps; a rank of 1 after the first sweep ends it early.
+    Returns (mode_fibers, n, ranks).
     """
     while True:
         pts = cheb_points(n)
@@ -192,13 +191,10 @@ def phase1_factors(oracle, tol, n, guesses, draws):
             sel = list(idx)
             sel[a] = range(n)
             mat = matricize(subtensor(oracle, (n, n, n), *sel), a + 1)
-            # vscale is a running max: 0 means every sample so far was zero
-            if oracle.vscale == 0.0:
-                return None
             idx[a], cols = _aca_on_matrix(mat, tol)
             ranks = tuple(len(i) for i in idx)
             # a rank this high condemns the grid: grow it now, sample no more of this one
-            if ranks[a] / n > RANK_RATIO_THRESHOLD and _grow(n) != n:
+            if ranks[a] / n > RANK_RATIO_THRESHOLD:
                 break
             kc, kb = np.divmod(cols, ranks[b])
             coords = np.column_stack((pts[np.take(idx[b], kb)], pts[np.take(idx[c], kc)]))
@@ -232,10 +228,10 @@ def phase2_refine(oracle, mode_fibers, tol):
             done |= [is_resolved(coeffs[:, c], tol, oracle.vscale) for c in range(r)]
             if done.all():
                 break
-            if refine_size(n) > MAX_FINE_SIZE:
+            n_new = refine_size(n)
+            if n_new > MAX_FINE_SIZE:
                 unresolved.append(mf.mode)
                 break
-            n_new = refine_size(n)
             grown = np.empty((n_new, r))
             grown[0::2, :] = vals
             grown[1::2, done] = coeffs_to_vals(coeffs[:, done], n_new)[1::2]
@@ -269,9 +265,7 @@ def phase3_core(oracle, fine_fibers, fine_dims):
     for mf in fine_fibers:
         q, rmat, _ = scipy.linalg.qr(mf.values, mode="economic", pivoting=True)
         diag = np.abs(np.diag(rmat))
-        dmax = diag.max() if diag.size else 0.0
-        keep = int(np.sum(diag > 1e-14 * dmax)) if dmax > 0 else 0
-        keep = max(keep, 1)
+        keep = max(int(np.sum(diag > 1e-14 * diag.max())), 1)
         q = q[:, :keep]
         proj = build_oblique(q)
         factor = q @ proj.mixing  # rows at proj.interp_rows are the identity
@@ -318,12 +312,7 @@ def build(f, config=None, vectorized=True):
     best = None  # (err, approx, coarse size, unresolved, mixing_norms)
     for restarts in range(MAX_RESTARTS + 1):
         oracle.set_phase("phase1")
-        p1 = phase1_factors(oracle, tol, n, guesses, draws)
-        if p1 is None:
-            zero = TuckerApproximant(core=np.zeros((1, 1, 1)), coeffs=(np.zeros((1, 1)),) * 3)
-            best = (0.0, zero, n, [], [1.0] * 3)
-            break
-        mode_fibers, n, ranks = p1
+        mode_fibers, n, ranks = phase1_factors(oracle, tol, n, guesses, draws)
 
         oracle.set_phase("phase2")
         fine_fibers, fine_dims, unresolved = phase2_refine(oracle, mode_fibers, tol)

@@ -15,6 +15,7 @@ The construction stats are not part of the binary format; write them
 separately as JSON.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -71,8 +72,7 @@ def deserialize(data):
         raise FormatError("zero rank or degree in header", 7)
 
     def block(shape, what, pos):
-        count = 8 * shape[0] * shape[1] if len(shape) == 2 else 8 * shape[0] * shape[1] * shape[2]
-        raw, new_pos = _take(data, pos, count, what)
+        raw, new_pos = _take(data, pos, 8 * math.prod(shape), what)
         arr = np.frombuffer(raw, dtype="<f8").reshape(shape, order="F").copy()
         return arr, new_pos
 

@@ -5,6 +5,8 @@ T(t) is the row of Chebyshev polynomials T_0..T_40 at t, so f has
 multilinear ranks exactly EXACT_TUCKER_RANKS[seed] and degree 40 in each
 variable.  The data are fixed here, seeds and check points included, so
 that no later change can pick data that hides a defect.
+
+hidden_bump is a narrow bump that phase 1's first look misses entirely.
 """
 
 import numpy as np
@@ -32,6 +34,14 @@ def exact_tucker(seed):
         return np.einsum("ijk,mi,mj,mk->m", core, u, v, w, optimize=True).reshape(x.shape)
 
     return f
+
+
+def hidden_bump(x, y, z):
+    """exp(-1e5*(x^2 + (y+1/3)^2 + (z+0.6)^2)): exactly 0.0 on every sample
+    of the first unfolding of the 17^3 coarse grid, and 1.0 at the first
+    Halton point (0, -1/3, -0.6).  A build that took the first samples for
+    the whole function would call it zero and certify that."""
+    return np.exp(-1e5 * (x**2 + (y + 1 / 3) ** 2 + (z + 0.6) ** 2))
 
 
 def check_points():

@@ -10,8 +10,11 @@ from numpy.polynomial.chebyshev import chebval
 
 from tuckercheb import approximator, catalog, chebyshev
 from tuckercheb.approximator import (
+    COARSE_SIZE,
     EVAL_BLOCK,
     HALTON_COUNT,
+    MAX_RANK,
+    RANK_RATIO_THRESHOLD,
     ConstructorConfig,
     ModeFibers,
     TuckerApproximant,
@@ -24,7 +27,7 @@ from tuckercheb.chebyshev import cheb_points
 from tuckercheb.cross import DegenerateInputError
 from tuckercheb.oracle import InstrumentedOracle, SamplingError
 
-from known_answers import EXACT_TUCKER_RANKS, check_points, exact_tucker
+from known_answers import EXACT_TUCKER_RANKS, check_points, exact_tucker, hidden_bump
 
 STATS_KEYS = {
     "schema_version", "tol", "ranks", "degrees", "coarse_dims",
@@ -83,6 +86,15 @@ class TestHelpers:
         for _ in range(8):
             sizes.append(grow_size(sizes[-1]))
         assert sizes == [17, 23, 33, 46, 65, 91, 129, 182, 257]
+
+    def test_grid_grows_while_max_rank_can_condemn_it(self):
+        # phase 1 condemns a grid whose rank exceeds RANK_RATIO_THRESHOLD of n;
+        # a rank is at most MAX_RANK, so every grid that can be condemned must
+        # have a larger successor, or phase 1 would loop on a stalled grid
+        n = COARSE_SIZE
+        while MAX_RANK / n > RANK_RATIO_THRESHOLD:
+            assert approximator._grow(n) > n
+            n = approximator._grow(n)
 
     def test_modified_guesses_double_only_under_a_capped_mode(self):
         # a mode is capped when its rank reaches the product of its two
@@ -152,8 +164,9 @@ class TestBuildBasics:
         )
 
     def test_nan_propagates(self):
+        f = np.errstate(divide="ignore", invalid="ignore")(lambda x, y, z: x / (y - y))
         with pytest.raises(SamplingError):
-            build(lambda x, y, z: x / (y - y), ConstructorConfig(tol=1e-10))
+            build(f, ConstructorConfig(tol=1e-10))
 
 
 class TestBuildBehavior:
@@ -258,15 +271,20 @@ class TestBuildBehavior:
         np.testing.assert_allclose(out[:, 0], f(xf, 0.005, 0.0), rtol=0, atol=1e-14)
 
     def test_zero_function_stats_pinned(self):
-        # the whole record of the zero exit; a refactor must leave it unchanged
+        # f = 0 takes the general path: one cross per unfolding in phase 1,
+        # columns resolved at once in phase 2, and the Halton check
         approx = build(lambda x, y, z: 0.0 * x, ConstructorConfig(tol=1e-12))
         assert approx.stats == {
             "schema_version": 2, "tol": 1e-12,
-            "ranks": [1, 1, 1], "degrees": [1, 1, 1], "coarse_dims": [17, 17, 17],
+            "ranks": [1, 1, 1], "degrees": [17, 17, 17], "coarse_dims": [17, 17, 17],
             "restarts": 0, "vscale": 0.0, "halton_error": 0.0, "certified": True,
             "unresolved_modes": [], "mixing_norms": [1.0, 1.0, 1.0],
-            "evals": {"phase1": {"total": 612, "distinct": 612}},
-            "total_calls": 612, "distinct_points": 612,
+            "evals": {
+                "phase1": {"total": 731, "distinct": 689},
+                "phase3_core": {"total": 1, "distinct": 0},
+                "verify": {"total": 30, "distinct": 30},
+            },
+            "total_calls": 762, "distinct_points": 719,
         }
 
     def test_expdist_counts_pinned(self):
@@ -415,6 +433,14 @@ class TestKnownAnswers:
         pts = check_points()
         err = np.max(np.abs(approx.evaluate_many(pts) - f(*pts.T)))
         assert err <= 10 * tol * s["vscale"]
+
+    def test_bump_missed_by_phase1_is_not_certified(self):
+        # phase 1 first samples only zeros; the Halton check still sees the bump
+        approx = build(hidden_bump, ConstructorConfig(tol=1e-10))
+        assert approx.stats["certified"] is False
+        pts = halton_points(HALTON_COUNT)
+        err = float(np.max(np.abs(hidden_bump(*pts.T) - approx.evaluate_many(pts))))
+        assert approx.stats["halton_error"] == err
 
 
 class TestApproximantEval:

@@ -105,7 +105,7 @@ class TestDeim:
             deim(2.0 * np.eye(4)[:, :2])
 
     def test_degenerate_zero_column(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.warns(UserWarning, match="orthonormal"), pytest.raises(DegenerateInputError):
             deim(np.zeros((4, 1)))
 
     def test_too_many_columns(self):

@@ -89,7 +89,7 @@ class TestNanPolicy:
         assert exc.value.point[0] == 0.5
 
     def test_inf_raises(self):
-        oracle = InstrumentedOracle(lambda x, y, z: 1.0 / x)
+        oracle = InstrumentedOracle(np.errstate(divide="ignore")(lambda x, y, z: 1.0 / x))
         with pytest.raises(SamplingError):
             oracle.eval_points([0.0], [0.0], [0.0])
 
@@ -208,6 +208,7 @@ class TestSampleStore:
     def test_sampling_error_changes_nothing(self):
         calls = []
 
+        @np.errstate(divide="ignore")
         def f(x, y, z):
             calls.append(x.size)
             return 1.0 / x
@@ -368,6 +369,7 @@ class TestGridPath:
     def test_sampling_error_changes_nothing_and_names_the_point(self):
         calls = []
 
+        @np.errstate(divide="ignore")
         def f(x, y, z):
             calls.append(x.size)
             return 1.0 / (x * y)
