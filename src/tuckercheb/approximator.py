@@ -14,8 +14,8 @@ the r1*r2*r3 core entries, and checks the result at Halton points.
 build repeats the three phases on a larger coarse grid until the check
 passes or MAX_RESTARTS restarts are spent, and returns the attempt with
 the lowest Halton error.  A condemned phase-1 grid and a failed attempt
-grow the grid the same way: the next grid's first index sets on modes 2
-and 3 are _modified_guesses of the three index-set sizes reached.
+grow the grid the same way: to grow_size(n), whose first index sets on
+modes 2 and 3 are _modified_guesses of the three index-set sizes reached.
 
 The fixed choices of the method are module constants: a 17^3 initial
 coarse grid (COARSE_SIZE), initial rank guesses of 6 on modes 2 and 3
@@ -114,15 +114,13 @@ class TuckerApproximant:
         return out
 
 
-def halton_points(count, offset=0):
+def halton_points(count):
     """Halton sequence in bases (2, 3, 5), mapped from (0,1) to (-1,1)."""
     if count < 1:
         raise ValueError("count must be positive")
-    if offset < 0:
-        raise ValueError("offset must be nonnegative")
     # radical inverses of all indices in all bases at once; spent digits add 0.0
     base = np.array([2, 3, 5])
-    i = np.repeat(np.arange(offset + 1, offset + 1 + count)[:, None], 3, axis=1)
+    i = np.repeat(np.arange(1, count + 1)[:, None], 3, axis=1)
     f = np.ones(3)
     r = np.zeros((count, 3))
     while i.any():
@@ -133,13 +131,10 @@ def halton_points(count, offset=0):
 
 
 def grow_size(n):
-    """Coarse-grid growth rule: floor(sqrt(2)^floor(2*log2(n)+1)) + 1."""
-    return int(math.floor(math.sqrt(2.0) ** math.floor(2.0 * math.log2(n) + 1.0))) + 1
-
-
-def _grow(n):
-    """The next coarse grid size: grow_size, capped at MAX_COARSE_SIZE."""
-    return min(grow_size(n), MAX_COARSE_SIZE)
+    """Coarse-grid growth rule: floor(sqrt(2)^floor(2*log2(n)+1)) + 1,
+    capped at MAX_COARSE_SIZE."""
+    grown = int(math.floor(math.sqrt(2.0) ** math.floor(2.0 * math.log2(n) + 1.0))) + 1
+    return min(grown, MAX_COARSE_SIZE)
 
 
 def _aca_on_matrix(m, tol_rel):
@@ -163,7 +158,7 @@ def _spread(n, g, t):
     indices floor((k + o)*n/g) on an n-point grid, shifted by o, the
     base-2 radical inverse of t."""
     g = min(g, n)
-    o = (halton_points(1, offset=t - 1)[0, 0] + 1.0) / 2.0
+    o = (halton_points(t)[-1, 0] + 1.0) / 2.0
     return list(np.floor((np.arange(g) + o) * n / g).astype(int))
 
 
@@ -177,7 +172,7 @@ def phase1_factors(oracle, tol, n, guesses, draws):
     is sampled, and selection starts again on the grown grid with
     _modified_guesses of the three index-set sizes reached, as build does
     after a failed attempt.  (MAX_RANK keeps every rank below that share
-    of any grid _grow cannot enlarge.)  The grid that is kept runs both
+    of any grid grow_size cannot enlarge.)  The grid that is kept runs both
     sweeps; a rank of 1 after the first sweep ends it early.
     Returns (mode_fibers, n, ranks).
     """
@@ -201,7 +196,7 @@ def phase1_factors(oracle, tol, n, guesses, draws):
             fibers[a] = ModeFibers(a + 1, mat[:, cols], coords)
             if a == 2 and (sweep == 1 or min(ranks) <= 1):
                 return fibers, n, ranks
-        n, guesses = _grow(n), _modified_guesses(ranks)
+        n, guesses = grow_size(n), _modified_guesses(ranks)
 
 
 def phase2_refine(oracle, mode_fibers, tol):
@@ -213,10 +208,10 @@ def phase2_refine(oracle, mode_fibers, tol):
     odd-index points; a resolved column takes its new values from its own
     Chebyshev interpolant.  A mode's grid grows until its last column is
     resolved or the next size would exceed MAX_FINE_SIZE.
-    Returns (fine_fibers, fine_dims, unresolved_modes).
+    Returns (fine_values, unresolved_modes): fine_values holds each mode's
+    refined (n, r) sample matrix, whose row count is its fine grid size.
     """
     fine = []
-    fine_dims = []
     unresolved = []
     for mf in mode_fibers:
         vals = mf.values
@@ -225,7 +220,7 @@ def phase2_refine(oracle, mode_fibers, tol):
         done = np.zeros(r, dtype=bool)
         while True:
             coeffs = vals_to_coeffs(vals)
-            done |= [is_resolved(coeffs[:, c], tol, oracle.vscale) for c in range(r)]
+            done |= is_resolved(coeffs, tol, oracle.vscale)
             if done.all():
                 break
             n_new = refine_size(n)
@@ -248,13 +243,15 @@ def phase2_refine(oracle, mode_fibers, tol):
             grown[1::2, todo] = sampled.reshape(k, m).T
             vals = grown
             n = n_new
-        fine.append(ModeFibers(mf.mode, vals, mf.coords))
-        fine_dims.append(n)
-    return fine, tuple(fine_dims), unresolved
+        fine.append(vals)
+    return fine, unresolved
 
 
-def phase3_core(oracle, fine_fibers, fine_dims):
+def phase3_core(oracle, fine_values):
     """QR + DEIM oblique projection and core sampling.
+
+    fine_values holds each mode's refined sample matrix, as phase2_refine
+    returns it; its row count is the mode's fine grid size.
 
     Returns (approximant_without_stats, mixing_norms).  Raises
     DegenerateInputError if a DEIM interpolation matrix is singular.
@@ -262,8 +259,8 @@ def phase3_core(oracle, fine_fibers, fine_dims):
     factor_coeffs = []
     deim_rows = []
     mixing_norms = []
-    for mf in fine_fibers:
-        q, rmat, _ = scipy.linalg.qr(mf.values, mode="economic", pivoting=True)
+    for vals in fine_values:
+        q, rmat, _ = scipy.linalg.qr(vals, mode="economic", pivoting=True)
         diag = np.abs(np.diag(rmat))
         keep = max(int(np.sum(diag > 1e-14 * diag.max())), 1)
         q = q[:, :keep]
@@ -272,7 +269,7 @@ def phase3_core(oracle, fine_fibers, fine_dims):
         factor_coeffs.append(vals_to_coeffs(factor))
         deim_rows.append(proj.interp_rows)
         mixing_norms.append(proj.mixing_norm)
-    core = subtensor(oracle, fine_dims, *deim_rows)
+    core = subtensor(oracle, [v.shape[0] for v in fine_values], *deim_rows)
     return TuckerApproximant(core=core, coeffs=tuple(factor_coeffs)), mixing_norms
 
 
@@ -315,11 +312,11 @@ def build(f, config=None, vectorized=True):
         mode_fibers, n, ranks = phase1_factors(oracle, tol, n, guesses, draws)
 
         oracle.set_phase("phase2")
-        fine_fibers, fine_dims, unresolved = phase2_refine(oracle, mode_fibers, tol)
+        fine_values, unresolved = phase2_refine(oracle, mode_fibers, tol)
 
         oracle.set_phase("phase3_core")
         try:
-            approx, mixing_norms = phase3_core(oracle, fine_fibers, fine_dims)
+            approx, mixing_norms = phase3_core(oracle, fine_values)
         except DegenerateInputError:
             pass  # this attempt has no approximant; the next one grows the grid
         else:
@@ -331,7 +328,7 @@ def build(f, config=None, vectorized=True):
                 best = (err, approx, n, unresolved, mixing_norms)
             if _accepted(err, tol, oracle.vscale):
                 break
-        n, guesses = _grow(n), _modified_guesses(ranks)
+        n, guesses = grow_size(n), _modified_guesses(ranks)
 
     if best is None:
         raise DegenerateInputError("every construction attempt failed in phase 3")

@@ -91,22 +91,19 @@ def eval_series(coeffs, x):
     return v.reshape(x.shape + c.shape[1:])[()]
 
 
-def _tail_window(n):
-    return max(3, math.ceil(0.15 * n))
-
-
 def is_resolved(coeffs, tol, vscale):
     """Plateau check: the trailing coefficient window is below tol*vscale.
 
     The window covers the last max(3, ceil(0.15*n)) coefficients; series
-    shorter than 5 are never considered resolved.
+    shorter than 5 are never considered resolved.  A vector gives a bool;
+    a matrix whose columns are separate series gives one flag per column.
     """
     c = np.asarray(coeffs, dtype=float)
     n = c.shape[0]
     if n < 5:
-        return False
-    w = _tail_window(n)
-    return bool(np.max(np.abs(c[-w:])) <= tol * vscale)
+        return False if c.ndim == 1 else np.zeros(c.shape[1:], dtype=bool)
+    flags = np.max(np.abs(c[-max(3, math.ceil(0.15 * n)) :]), axis=0) <= tol * vscale
+    return bool(flags) if c.ndim == 1 else flags
 
 
 def refine_size(n):

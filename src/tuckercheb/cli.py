@@ -169,8 +169,8 @@ def fiber_degree(fn, tol):
     for yz in ((-1.0, -1.0), (0.0, 0.0), (1.0, 1.0)):
         oracle = InstrumentedOracle(fn)
         vals = oracle.eval_points(x, np.full(x.size, yz[0]), np.full(x.size, yz[1]))
-        fine, _, _ = phase2_refine(oracle, [ModeFibers(1, vals[:, None], np.array([yz]))], tol)
-        coeffs = vals_to_coeffs(fine[0].values[:, 0])
+        fine, _ = phase2_refine(oracle, [ModeFibers(1, vals[:, None], np.array([yz]))], tol)
+        coeffs = vals_to_coeffs(fine[0][:, 0])
         best = max(best, chop_series(coeffs, tol, oracle.vscale).size - 1)
     return best
 

@@ -85,12 +85,8 @@ def _tokenize(src):
             if not stripped:
                 break
             raise ParseError(f"unexpected character {stripped[0]!r}", len(src) - len(stripped))
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(src)))
     return tokens

@@ -13,6 +13,7 @@ from tuckercheb.approximator import (
     COARSE_SIZE,
     EVAL_BLOCK,
     HALTON_COUNT,
+    MAX_COARSE_SIZE,
     MAX_RANK,
     RANK_RATIO_THRESHOLD,
     ConstructorConfig,
@@ -73,13 +74,10 @@ class TestHelpers:
         assert np.all(np.abs(a) < 1.0)
         assert a.shape == (30, 3)
 
-    def test_halton_offset_shifts_sequence(self):
-        np.testing.assert_array_equal(halton_points(5, offset=2), halton_points(7)[2:])
-
-    def test_halton_negative_offset_raises(self):
-        # the digit loop would floor-divide a negative index forever
-        with pytest.raises(ValueError, match="offset"):
-            halton_points(1, offset=-2)
+    def test_spread_shifts_by_base2_radical_inverse(self):
+        # draw t shifts the spread indices by the base-2 radical inverse of t:
+        # 1/2, 1/4, 3/4, 1/8, 5/8 of a 16-point grid
+        assert [approximator._spread(16, 1, t) for t in range(1, 6)] == [[8], [4], [12], [2], [10]]
 
     def test_grow_size_chain(self):
         sizes = [17]
@@ -87,14 +85,17 @@ class TestHelpers:
             sizes.append(grow_size(sizes[-1]))
         assert sizes == [17, 23, 33, 46, 65, 91, 129, 182, 257]
 
+    def test_grow_size_capped(self):
+        assert grow_size(1449) == grow_size(MAX_COARSE_SIZE) == MAX_COARSE_SIZE
+
     def test_grid_grows_while_max_rank_can_condemn_it(self):
         # phase 1 condemns a grid whose rank exceeds RANK_RATIO_THRESHOLD of n;
         # a rank is at most MAX_RANK, so every grid that can be condemned must
         # have a larger successor, or phase 1 would loop on a stalled grid
         n = COARSE_SIZE
         while MAX_RANK / n > RANK_RATIO_THRESHOLD:
-            assert approximator._grow(n) > n
-            n = approximator._grow(n)
+            assert grow_size(n) > n
+            n = grow_size(n)
 
     def test_modified_guesses_double_only_under_a_capped_mode(self):
         # a mode is capped when its rank reaches the product of its two
@@ -260,10 +261,10 @@ class TestBuildBehavior:
             [oracle.eval_points(x, np.full(17, a), np.full(17, b)) for a, b in coords], axis=1
         )
         oracle.set_phase("phase2")
-        fine, dims, unresolved = phase2_refine(oracle, [ModeFibers(1, vals, coords)], 1e-10)
-        n = dims[0]
+        fine, unresolved = phase2_refine(oracle, [ModeFibers(1, vals, coords)], 1e-10)
+        n = fine[0].shape[0]
         assert unresolved == [] and n > 17
-        out = fine[0].values
+        out = fine[0]
         np.testing.assert_array_equal(out[:: (n - 1) // 16], vals)
         assert oracle.counts["phase2"][1] == n - 17
         xf = cheb_points(n)

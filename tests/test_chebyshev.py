@@ -230,6 +230,13 @@ class TestResolution:
     def test_short_series_never_resolved(self):
         assert not is_resolved(np.array([1.0, 1e-20]), 1e-12, 1.0)
 
+    def test_matrix_gives_one_flag_per_column(self):
+        # columns resolve and fail by turn; each flag is that column's own check
+        c = vals_to_coeffs(np.exp(np.outer(cheb_points(33), [1.0, 20.0, 0.5, 40.0])))
+        flags = is_resolved(c, 1e-12, math.e)
+        assert flags.tolist() == [True, False, True, False]
+        assert flags.tolist() == [is_resolved(c[:, k], 1e-12, math.e) for k in range(4)]
+
     def test_refine_size(self):
         assert refine_size(17) == 33
         assert refine_size(33) == 65
