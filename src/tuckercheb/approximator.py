@@ -4,18 +4,19 @@ Phase 1 alternates cross approximation over lazily sampled subtensors of
 an n^3 coarse grid to pick fiber indices and factor matrices, starting
 from evenly spread indices on modes 2 and 3 (_spread); nothing is
 random, so a build depends on f and tol alone.  The first unfolding
-whose rank is too high for its grid ends that grid at once: phase 1
-samples no more of it and starts over on the next larger one.  Phase 2
-refines each factor's Chebyshev grid (2n-1 nesting) until every column's
-coefficient tail is resolved; only unresolved columns are sampled, and
-resolved ones are extended by their own interpolant.  Phase 3
-orthonormalizes the factors, picks interpolation rows by DEIM, samples
-the r1*r2*r3 core entries, and checks the result at Halton points.
-build repeats the three phases on a larger coarse grid until the check
-passes or MAX_RESTARTS restarts are spent, and returns the attempt with
-the lowest Halton error.  A condemned phase-1 grid and a failed attempt
-grow the grid the same way: to grow_size(n), whose first index sets on
-modes 2 and 3 are _modified_guesses of the three index-set sizes reached.
+whose rank is too high for its grid condemns that grid: phase 1 samples
+no more of it.  On a grid it keeps, phase 1 hands phase 2 one
+(values, coords) pair of fiber samples per mode.  Phase 2 refines each
+factor's Chebyshev grid (2n-1 nesting) until every column's coefficient
+tail is resolved; only unresolved columns are sampled, and resolved ones
+are extended by their own interpolant.  Phase 3 orthonormalizes the
+factors, picks interpolation rows by DEIM, samples the r1*r2*r3 core
+entries, and checks the result at Halton points.  build is the one loop
+over coarse grids: a condemned grid and a failed check both move it to
+grow_size(n), whose first index sets on modes 2 and 3 are
+_modified_guesses of the three index-set sizes reached.  It stops when
+the check passes or MAX_RESTARTS restarts are spent, and returns the
+attempt with the lowest Halton error.
 
 The fixed choices of the method are module constants: a 17^3 initial
 coarse grid (COARSE_SIZE), initial rank guesses of 6 on modes 2 and 3
@@ -63,16 +64,6 @@ class ConstructorConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError("tol must be positive and finite")
-
-
-@dataclass
-class ModeFibers:
-    """Fiber samples for one mode: values[:, c] is f along the mode axis
-    with the other two coordinates fixed at the row coords[c] = (a, b)."""
-
-    mode: int
-    values: np.ndarray
-    coords: np.ndarray  # (r, 2)
 
 
 @dataclass
@@ -162,61 +153,60 @@ def _spread(n, g, t):
     return list(np.floor((np.arange(g) + o) * n / g).astype(int))
 
 
-def phase1_factors(oracle, tol, n, guesses, draws):
+def phase1_factors(oracle, tol, n, first):
     """Alternating fiber selection (two sweeps) on the n^3 coarse grid.
 
-    The first index sets of modes 2 and 3 are _spread draws of guesses[0]
-    and guesses[1] indices, numbered by the iterator draws, which runs on
-    across the attempts of a build.  After each unfolding's ACA, a rank above
-    RANK_RATIO_THRESHOLD of n condemns the grid: no further unfolding of it
-    is sampled, and selection starts again on the grown grid with
-    _modified_guesses of the three index-set sizes reached, as build does
-    after a failed attempt.  (MAX_RANK keeps every rank below that share
-    of any grid grow_size cannot enlarge.)  The grid that is kept runs both
-    sweeps; a rank of 1 after the first sweep ends it early.
-    Returns (mode_fibers, n, ranks).
+    first holds the first index sets of modes 2 and 3.  After each
+    unfolding's ACA, a rank above RANK_RATIO_THRESHOLD of n condemns the
+    grid: no further unfolding of it is sampled.  (MAX_RANK keeps every
+    rank below that share of any grid grow_size cannot enlarge.)  A grid
+    that is kept runs both sweeps; a rank of 1 after the first sweep ends
+    it early.
+    Returns (mode_fibers, ranks), ranks being the three index-set sizes
+    reached.  mode_fibers is None on a condemned grid; otherwise it holds
+    one (values, coords) pair per mode, in mode order: values[:, c] is f
+    along the mode axis with the other two coordinates fixed at the row
+    coords[c] = (a, b) of the (r, 2) array coords.
     """
-    while True:
-        pts = cheb_points(n)
-        idx = [[]] + [_spread(n, g, next(draws)) for g in guesses]
-        fibers = [None, None, None]
-        for sweep, a in itertools.product(range(2), range(3)):
-            # the unfolding's columns run over the other modes b < c, b fastest
-            b, c = (m for m in range(3) if m != a)
-            sel = list(idx)
-            sel[a] = range(n)
-            mat = matricize(subtensor(oracle, (n, n, n), *sel), a + 1)
-            idx[a], cols = _aca_on_matrix(mat, tol)
-            ranks = tuple(len(i) for i in idx)
-            # a rank this high condemns the grid: grow it now, sample no more of this one
-            if ranks[a] / n > RANK_RATIO_THRESHOLD:
-                break
-            kc, kb = np.divmod(cols, ranks[b])
-            coords = np.column_stack((pts[np.take(idx[b], kb)], pts[np.take(idx[c], kc)]))
-            fibers[a] = ModeFibers(a + 1, mat[:, cols], coords)
-            if a == 2 and (sweep == 1 or min(ranks) <= 1):
-                return fibers, n, ranks
-        n, guesses = grow_size(n), _modified_guesses(ranks)
+    pts = cheb_points(n)
+    idx = [[], *first]
+    fibers = [None, None, None]
+    for sweep, a in itertools.product(range(2), range(3)):
+        # the unfolding's columns run over the other modes b < c, b fastest
+        b, c = (m for m in range(3) if m != a)
+        sel = list(idx)
+        sel[a] = range(n)
+        mat = matricize(subtensor(oracle, (n, n, n), *sel), a + 1)
+        idx[a], cols = _aca_on_matrix(mat, tol)
+        ranks = tuple(len(i) for i in idx)
+        if ranks[a] / n > RANK_RATIO_THRESHOLD:
+            return None, ranks
+        kc, kb = np.divmod(cols, ranks[b])
+        coords = np.column_stack((pts[np.take(idx[b], kb)], pts[np.take(idx[c], kc)]))
+        fibers[a] = (mat[:, cols], coords)
+        if a == 2 and (sweep == 1 or min(ranks) <= 1):
+            return fibers, ranks
 
 
 def phase2_refine(oracle, mode_fibers, tol):
     """Refine each mode's fiber grid until every column is resolved.
 
-    A column is resolved once chebyshev.is_resolved accepts its
-    coefficients at tol.  Each refinement (n -> 2n-1) keeps the old samples at
-    the even indices.  Only unresolved columns are sampled at the new
-    odd-index points; a resolved column takes its new values from its own
-    Chebyshev interpolant.  A mode's grid grows until its last column is
-    resolved or the next size would exceed MAX_FINE_SIZE.
+    mode_fibers holds one (values, coords) pair per mode, in mode order,
+    as phase1_factors returns it.  A column is resolved once
+    chebyshev.is_resolved accepts its coefficients at tol.  Each
+    refinement (n -> 2n-1) keeps the old samples at the even indices.
+    Only unresolved columns are sampled at the new odd-index points; a
+    resolved column takes its new values from its own Chebyshev
+    interpolant.  A mode's grid grows until its last column is resolved
+    or the next size would exceed MAX_FINE_SIZE.
     Returns (fine_values, unresolved_modes): fine_values holds each mode's
     refined (n, r) sample matrix, whose row count is its fine grid size.
     """
     fine = []
     unresolved = []
-    for mf in mode_fibers:
-        vals = mf.values
+    for mode, (vals, coords) in enumerate(mode_fibers):
         n, r = vals.shape
-        a, b = mf.coords.T
+        a, b = coords.T
         done = np.zeros(r, dtype=bool)
         while True:
             coeffs = vals_to_coeffs(vals)
@@ -225,7 +215,7 @@ def phase2_refine(oracle, mode_fibers, tol):
                 break
             n_new = refine_size(n)
             if n_new > MAX_FINE_SIZE:
-                unresolved.append(mf.mode)
+                unresolved.append(mode + 1)
                 break
             grown = np.empty((n_new, r))
             grown[0::2, :] = vals
@@ -238,7 +228,7 @@ def phase2_refine(oracle, mode_fibers, tol):
             fa = np.repeat(a[todo], m)
             fb = np.repeat(b[todo], m)
             args = [fa, fb]
-            args.insert(mf.mode - 1, var)
+            args.insert(mode, var)
             sampled = oracle.eval_points(*args)
             grown[1::2, todo] = sampled.reshape(k, m).T
             vals = grown
@@ -307,27 +297,30 @@ def build(f, config=None, vectorized=True):
     n = COARSE_SIZE
     guesses = RANK_GUESSES
     best = None  # (err, approx, coarse size, unresolved, mixing_norms)
-    for restarts in range(MAX_RESTARTS + 1):
+    restarts = -1  # finished attempts less one; a condemned grid is no attempt
+    while restarts < MAX_RESTARTS:
         oracle.set_phase("phase1")
-        mode_fibers, n, ranks = phase1_factors(oracle, tol, n, guesses, draws)
+        first = [_spread(n, g, next(draws)) for g in guesses]
+        mode_fibers, ranks = phase1_factors(oracle, tol, n, first)
+        if mode_fibers is not None:  # else a rank condemned the grid: no attempt
+            restarts += 1
+            oracle.set_phase("phase2")
+            fine_values, unresolved = phase2_refine(oracle, mode_fibers, tol)
 
-        oracle.set_phase("phase2")
-        fine_values, unresolved = phase2_refine(oracle, mode_fibers, tol)
-
-        oracle.set_phase("phase3_core")
-        try:
-            approx, mixing_norms = phase3_core(oracle, fine_values)
-        except DegenerateInputError:
-            pass  # this attempt has no approximant; the next one grows the grid
-        else:
-            oracle.set_phase("verify")
-            pts = halton_points(HALTON_COUNT)
-            fvals = oracle.eval_points(pts[:, 0], pts[:, 1], pts[:, 2])
-            err = float(np.max(np.abs(fvals - approx.evaluate_many(pts))))
-            if best is None or err < best[0]:
-                best = (err, approx, n, unresolved, mixing_norms)
-            if _accepted(err, tol, oracle.vscale):
-                break
+            oracle.set_phase("phase3_core")
+            try:
+                approx, mixing_norms = phase3_core(oracle, fine_values)
+            except DegenerateInputError:
+                pass  # this attempt has no approximant; the next one grows the grid
+            else:
+                oracle.set_phase("verify")
+                pts = halton_points(HALTON_COUNT)
+                fvals = oracle.eval_points(pts[:, 0], pts[:, 1], pts[:, 2])
+                err = float(np.max(np.abs(fvals - approx.evaluate_many(pts))))
+                if best is None or err < best[0]:
+                    best = (err, approx, n, unresolved, mixing_norms)
+                if _accepted(err, tol, oracle.vscale):
+                    break
         n, guesses = grow_size(n), _modified_guesses(ranks)
 
     if best is None:

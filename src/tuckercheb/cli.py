@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from . import catalog, chebyshev, funcexpr
-from .approximator import ConstructorConfig, ModeFibers, build, phase2_refine
+from .approximator import ConstructorConfig, build, phase2_refine
 from .chebyshev import cheb_points, chop_series, vals_to_coeffs
 from .oracle import InstrumentedOracle, SamplingError
 from .serialize import FormatError, deserialize, serialize
@@ -169,7 +169,7 @@ def fiber_degree(fn, tol):
     for yz in ((-1.0, -1.0), (0.0, 0.0), (1.0, 1.0)):
         oracle = InstrumentedOracle(fn)
         vals = oracle.eval_points(x, np.full(x.size, yz[0]), np.full(x.size, yz[1]))
-        fine, _ = phase2_refine(oracle, [ModeFibers(1, vals[:, None], np.array([yz]))], tol)
+        fine, _ = phase2_refine(oracle, [(vals[:, None], np.array([yz]))], tol)
         coeffs = vals_to_coeffs(fine[0][:, 0])
         best = max(best, chop_series(coeffs, tol, oracle.vscale).size - 1)
     return best

@@ -17,7 +17,6 @@ from tuckercheb.approximator import (
     MAX_RANK,
     RANK_RATIO_THRESHOLD,
     ConstructorConfig,
-    ModeFibers,
     TuckerApproximant,
     build,
     grow_size,
@@ -91,7 +90,7 @@ class TestHelpers:
     def test_grid_grows_while_max_rank_can_condemn_it(self):
         # phase 1 condemns a grid whose rank exceeds RANK_RATIO_THRESHOLD of n;
         # a rank is at most MAX_RANK, so every grid that can be condemned must
-        # have a larger successor, or phase 1 would loop on a stalled grid
+        # have a larger successor, or build would loop on a stalled grid
         n = COARSE_SIZE
         while MAX_RANK / n > RANK_RATIO_THRESHOLD:
             assert grow_size(n) > n
@@ -251,6 +250,36 @@ class TestBuildBehavior:
             assert too_high(dims, ranks) == [False] * (len(ranks) - 1) + [True], (dims, ranks)
         assert too_high(last_dims, last_ranks) == [False] * 6
 
+    def test_phase1_samples_one_condemned_grid(self):
+        # logmix's first unfolding on 17^3 reaches rank 17 > 17/(2*sqrt(2)):
+        # phase 1 samples that 17 x 36 unfolding alone and grows no grid
+        seen = []
+
+        def f(x, y, z):
+            seen.append(np.column_stack((x, y, z)))
+            return catalog.get("logmix")(x, y, z)
+
+        oracle = InstrumentedOracle(f)
+        first = [approximator._spread(17, 6, 1), approximator._spread(17, 6, 2)]
+        assert approximator.phase1_factors(oracle, 1e-10, 17, first) == (None, (17, 6, 6))
+        pts = np.concatenate(seen)
+        assert oracle.distinct_points == len(pts) == 17 * 6 * 6
+        assert np.isin(pts, cheb_points(17)).all()
+
+    def test_phase1_kept_grid_returns_fibers_per_mode(self):
+        # values[:, c] is f along the mode's axis at the row coords[c]
+        f = catalog.get("separable-demo")
+        first = [approximator._spread(17, 6, 1), approximator._spread(17, 6, 2)]
+        fibers, ranks = approximator.phase1_factors(InstrumentedOracle(f), 1e-10, 17, first)
+        assert len(fibers) == 3
+        x = cheb_points(17)
+        for mode, ((vals, coords), r) in enumerate(zip(fibers, ranks)):
+            assert vals.shape == (17, r) and coords.shape == (r, 2)
+            for c, (a, b) in enumerate(coords):
+                args = [np.full(17, a), np.full(17, b)]
+                args.insert(mode, x)
+                np.testing.assert_array_equal(vals[:, c], f(*args))
+
     def test_phase2_samples_only_unresolved_columns(self):
         # column 0 resolves on the 17-point grid; column 1 needs a finer one
         f = lambda x, y, z: 1.0 / (1.0 + 400.0 * (y * x) ** 2)
@@ -261,7 +290,7 @@ class TestBuildBehavior:
             [oracle.eval_points(x, np.full(17, a), np.full(17, b)) for a, b in coords], axis=1
         )
         oracle.set_phase("phase2")
-        fine, unresolved = phase2_refine(oracle, [ModeFibers(1, vals, coords)], 1e-10)
+        fine, unresolved = phase2_refine(oracle, [(vals, coords)], 1e-10)
         n = fine[0].shape[0]
         assert unresolved == [] and n > 17
         out = fine[0]
@@ -323,13 +352,47 @@ class TestBuildBehavior:
             "verify": {"total": 150, "distinct": 30},
         }
 
-    def test_degenerate_tanh_restarts_past_its_rank_one_mode(self):
+    def test_degenerate_tanh_restarts_past_its_rank_one_mode(self, monkeypatch):
         # mode 2 has rank 1, so modes 1 and 3 are bounded by each other's
-        # rank alone (6 >= 6*1): without doubling it stalls at (6, 1, 6)
+        # rank alone (6 >= 6*1): without doubling it stalls at (6, 1, 6).
+        # Its condemned grids (23^3, 33^3, 65^3) fall between finished
+        # attempts; every grid, condemned or kept, takes the next two draws
+        spreads = []  # (grid size, index-set size asked, draw number), in order
+        real = approximator._spread
+
+        def recording(n, g, t):
+            spreads.append((n, g, t))
+            return real(n, g, t)
+
+        monkeypatch.setattr(approximator, "_spread", recording)
         s = build(catalog.get("degenerate-tanh"), ConstructorConfig(tol=1e-10)).stats
         assert s["ranks"] == [60, 1, 60]
         assert s["restarts"] == 4
         assert s["certified"] is True
+        assert spreads == [
+            (17, 6, 1), (17, 6, 2), (23, 3, 3), (23, 12, 4), (33, 3, 5), (33, 12, 6),
+            (46, 3, 7), (46, 12, 8), (65, 3, 9), (65, 24, 10), (91, 3, 11), (91, 24, 12),
+            (129, 3, 13), (129, 48, 14), (182, 3, 15), (182, 88, 16),
+        ]
+        assert s["coarse_dims"] == [182, 182, 182]
+        assert s["distinct_points"] == 1363430
+        assert s["total_calls"] == 1402988
+        assert s["evals"] == {
+            "phase1": {"total": 1394634, "distinct": 1357922},
+            "phase2": {"total": 1912, "distinct": 1911},
+            "phase3_core": {"total": 6292, "distinct": 3567},
+            "verify": {"total": 150, "distinct": 30},
+        }
+
+    def test_condemned_grids_spend_no_restarts(self, monkeypatch):
+        # logmix@1e-10 condemns 17^3 to 65^3 and certifies on 91^3 in its
+        # one attempt, so it needs no restart
+        monkeypatch.setattr(approximator, "MAX_RESTARTS", 0)
+        s = build(catalog.get("logmix"), ConstructorConfig(tol=1e-10)).stats
+        assert s["coarse_dims"] == [91, 91, 91]
+        assert s["restarts"] == 0
+        assert s["certified"] is True
+        assert s["distinct_points"] == 185398
 
     def test_collapsed_third_mode_does_not_stall_the_others(self):
         # mode 3 has rank 1, so modes 1 and 2 are bounded by each other's
