@@ -131,14 +131,11 @@ def grow_size(n):
 def _aca_on_matrix(m, tol_rel):
     """ACA with tolerance relative to the initial residual maximum.
 
-    Falls back to a single first-row/first-column cross if the sampled
-    matrix is identically zero, so downstream machinery always has at
-    least one fiber to work with.
+    Falls back to a single first-row/first-column cross if ACA finds no
+    pivot (an identically zero matrix), so downstream machinery always
+    has at least one fiber to work with.
     """
-    m0 = float(np.max(np.abs(m)))
-    if m0 == 0.0:
-        return [0], [0]
-    res = aca(m, tol_abs=tol_rel * m0, max_rank=MAX_RANK)
+    res = aca(m, tol_abs=tol_rel * (float(np.max(np.abs(m))) or 1.0), max_rank=MAX_RANK)
     if res.rank == 0:
         return [0], [0]
     return res.row_indices, res.col_indices
@@ -205,34 +202,25 @@ def phase2_refine(oracle, mode_fibers, tol):
     fine = []
     unresolved = []
     for mode, (vals, coords) in enumerate(mode_fibers):
-        n, r = vals.shape
-        a, b = coords.T
-        done = np.zeros(r, dtype=bool)
+        done = np.zeros(vals.shape[1], dtype=bool)
         while True:
             coeffs = vals_to_coeffs(vals)
             done |= is_resolved(coeffs, tol, oracle.vscale)
             if done.all():
                 break
-            n_new = refine_size(n)
-            if n_new > MAX_FINE_SIZE:
+            n = refine_size(vals.shape[0])
+            if n > MAX_FINE_SIZE:
                 unresolved.append(mode + 1)
                 break
-            grown = np.empty((n_new, r))
-            grown[0::2, :] = vals
-            grown[1::2, done] = coeffs_to_vals(coeffs[:, done], n_new)[1::2]
-            newpts = cheb_points(n_new)[1::2]
-            m = newpts.size
+            grown = np.empty((n, done.size))
+            grown[0::2] = vals
+            grown[1::2, done] = coeffs_to_vals(coeffs[:, done], n)[1::2]
+            newpts = cheb_points(n)[1::2]
             todo = ~done
-            k = int(todo.sum())
-            var = np.tile(newpts, k)
-            fa = np.repeat(a[todo], m)
-            fb = np.repeat(b[todo], m)
-            args = [fa, fb]
-            args.insert(mode, var)
-            sampled = oracle.eval_points(*args)
-            grown[1::2, todo] = sampled.reshape(k, m).T
+            args = [np.repeat(c, newpts.size) for c in coords[todo].T]
+            args.insert(mode, np.tile(newpts, int(todo.sum())))
+            grown[1::2, todo] = oracle.eval_points(*args).reshape(-1, newpts.size).T
             vals = grown
-            n = n_new
         fine.append(vals)
     return fine, unresolved
 

@@ -78,7 +78,9 @@ def eval_series(coeffs, x):
     T_k(x) = cos(k * arccos(x)), which costs a few numpy calls at any
     degree.  Every other call takes numpy's chebvander, which builds the
     basis one degree at a time and is faster per point on large blocks;
-    it is also the one that extrapolates outside [-1, 1].
+    it is also the one that extrapolates outside [-1, 1].  The trig basis
+    loses about k*eps in T_k, through the rounding of k * arccos(x); on a
+    slowly decaying series of high degree chebvander is more accurate.
     """
     c = np.asarray(coeffs, dtype=float)
     x = np.asarray(x, dtype=float)

@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from . import catalog, chebyshev, funcexpr
+from . import catalog, funcexpr
 from .approximator import ConstructorConfig, build, phase2_refine
 from .chebyshev import cheb_points, chop_series, vals_to_coeffs
 from .oracle import InstrumentedOracle, SamplingError
@@ -45,11 +45,6 @@ BENCH_COLUMNS = [
 
 # stats["evals"] keys, in the order of the summary lines and the bench columns
 PHASES = ("phase1", "phase2", "phase3_core", "verify")
-
-
-def _resolve_function(args):
-    src = args.expr if args.expr is not None else catalog.expression(args.fn)
-    return funcexpr.parse(src)
 
 
 @contextlib.contextmanager
@@ -86,7 +81,7 @@ def _print_summary(stats):
 
 def cmd_approx(args):
     try:
-        fn = _resolve_function(args)
+        fn = funcexpr.parse(args.expr if args.expr is not None else catalog.expression(args.fn))
     except (funcexpr.ParseError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERR_PARSE
@@ -163,8 +158,7 @@ def fiber_degree(fn, tol):
     until its coefficient tail is resolved at tol relative to the fiber
     scale, then chopped.
     """
-    # not through cli.cheb_points, which sets only the study's HOSVD grid
-    x = chebyshev.cheb_points(17)
+    x = cheb_points(17)
     best = 0
     for yz in ((-1.0, -1.0), (0.0, 0.0), (1.0, 1.0)):
         oracle = InstrumentedOracle(fn)
@@ -217,7 +211,7 @@ def cmd_rankdeg(args):
             f"error: grid {args.grid}^3 needs too much memory; use a smaller --grid",
             file=sys.stderr,
         )
-        return ERR_IO
+        return ERR_PARSE
     eps_min = min(eps_list)
     if corner_gap(args.grid) > eps_min:
         print(
@@ -269,8 +263,7 @@ def cmd_bench(args):
             worst = max(worst, ERR_NOT_CERTIFIED)
 
     if args.out and len(rows) == len(names):  # every function was built
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
+        with _csv_out(args.out) as writer:
             writer.writerow(BENCH_COLUMNS)
             writer.writerows(rows)
     widths = [max(len(str(r[i])) for r in rows + [BENCH_COLUMNS]) for i in range(len(BENCH_COLUMNS))]

@@ -55,12 +55,11 @@ class InstrumentedOracle:
     """Wraps f: [-1,1]^3 -> R with memoization and per-phase counters.
 
     If ``vectorized`` is true (default), f is called once per batch with
-    numpy arrays; otherwise it is called point by point.
+    numpy arrays; otherwise it is called point by point, in flat order.
     """
 
     def __init__(self, fn, vectorized=True):
-        self._fn = fn
-        self._vectorized = vectorized
+        self._fn = fn if vectorized else lambda xs, ys, zs: [float(fn(*p)) for p in zip(xs, ys, zs)]
         self._coords = np.empty(0)  # distinct coordinate values, sorted
         self._coord_ids = np.empty(0, dtype=np.int64)  # their ids
         self._keys = np.empty(0, dtype=np.int64)  # packed point keys, sorted
@@ -117,11 +116,8 @@ class InstrumentedOracle:
                     f"the sample store holds at most {_MAX_COORDS} distinct coordinate values"
                 )
             xs, ys, zs = points(miss)
-            if self._vectorized:
-                vals = np.asarray(self._fn(xs, ys, zs), dtype=float)
-                vals = np.broadcast_to(vals, miss.shape).astype(float)
-            else:
-                vals = np.array([float(self._fn(xs[j], ys[j], zs[j])) for j in range(miss.size)])
+            vals = np.asarray(self._fn(xs, ys, zs), dtype=float)
+            vals = np.broadcast_to(vals, miss.shape).astype(float)
             bad = ~np.isfinite(vals)
             if np.any(bad):
                 j = int(np.argmax(bad))

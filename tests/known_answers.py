@@ -6,6 +6,11 @@ multilinear ranks exactly EXACT_TUCKER_RANKS[seed] and degree 40 in each
 variable.  The data are fixed here, seeds and check points included, so
 that no later change can pick data that hides a defect.
 
+Off-centre point cusps: f = 1/(1 + c*|p - p0|), with p0 drawn from
+default_rng(seed), for every seed in POINT_CUSP_SEEDS and c in
+POINT_CUSP_SLOPES.  Their error, and that of the TIGHT_CASES catalog
+builds, is what a false certificate is counted on.
+
 hidden_bump is a narrow bump that phase 1's first look misses entirely.
 """
 
@@ -14,6 +19,9 @@ from numpy.polynomial.chebyshev import chebvander
 
 EXACT_TUCKER_DEGREE = 40
 EXACT_TUCKER_RANKS = {1: (3, 3, 3), 2: (5, 2, 7), 3: (8, 8, 1), 4: (1, 6, 6), 5: (12, 10, 8)}
+POINT_CUSP_SEEDS = range(6)
+POINT_CUSP_SLOPES = (5, 25)
+TIGHT_CASES = (("expdist", 1e-13), ("logmix", 1e-13), ("logmix", 1e-14))  # (catalog name, tol)
 
 
 def exact_tucker(seed):
@@ -32,6 +40,16 @@ def exact_tucker(seed):
         x, y, z = np.broadcast_arrays(*(np.asarray(t, dtype=float) for t in (x, y, z)))
         u, v, w = (chebvander(t.ravel(), EXACT_TUCKER_DEGREE) @ a for t, a in zip((x, y, z), factors))
         return np.einsum("ijk,mi,mj,mk->m", core, u, v, w, optimize=True).reshape(x.shape)
+
+    return f
+
+
+def point_cusp(seed, c):
+    """1/(1 + c*|p - p0|), with p0 = default_rng(seed).uniform(-0.9, 0.9, 3)."""
+    x0, y0, z0 = np.random.default_rng(seed).uniform(-0.9, 0.9, 3)
+
+    def f(x, y, z):
+        return 1.0 / (1.0 + c * np.sqrt((x - x0) ** 2 + (y - y0) ** 2 + (z - z0) ** 2))
 
     return f
 

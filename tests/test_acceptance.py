@@ -20,12 +20,17 @@ from tuckercheb.cross import aca, build_oblique
 from tuckercheb.serialize import deserialize, serialize
 from tuckercheb.tensor import hosvd_ranks, matricize
 
+from known_answers import POINT_CUSP_SEEDS, POINT_CUSP_SLOPES, TIGHT_CASES, check_points, point_cusp
+
 CATALOG_FIVE = ("runge3", "expdist", "coshinv", "spike", "logmix")
 
 
+def status_line(name, ok, detail=""):
+    return f"[{'PASS' if ok else 'FAIL'}] {name}" + (f" -- {detail}" if detail else "")
+
+
 def report(name, ok, detail=""):
-    status = "PASS" if ok else "FAIL"
-    line = f"[{status}] {name}" + (f" -- {detail}" if detail else "")
+    line = status_line(name, ok, detail)
     print(line)
     assert ok, line
 
@@ -319,4 +324,36 @@ def test_c11_determinism_and_serialization():
         "C11 determinism and bit-exact serialization round trip",
         same_stats and same_bytes and same_eval,
         f"stats {same_stats}, bytes {same_bytes}, eval {same_eval}",
+    )
+
+
+@pytest.mark.xfail(strict=True, reason="item 4")
+def test_c12_false_certificates():
+    """A certificate is false when the build certifies yet errs above
+    ACCEPTANCE_FACTOR*tol*vscale on the 10^4 known-answer check points."""
+    cases = [
+        (f"cusp(seed {seed}, c {c})", point_cusp(seed, c), 1e-10)
+        for seed in POINT_CUSP_SEEDS
+        for c in POINT_CUSP_SLOPES
+    ]
+    cases += [(f"{name}@{tol:g}", catalog.get(name), tol) for name, tol in TIGHT_CASES]
+    pts = check_points()
+    false = []
+    for name, fn, tol in cases:
+        approx = build(fn, ConstructorConfig(tol=tol))
+        s = approx.stats
+        scale = tol * s["vscale"]
+        ratio = max_error(approx, fn, pts) / scale
+        if s["certified"] and ratio > approximator.ACCEPTANCE_FACTOR:
+            false.append(name)
+        print(status_line(
+            f"C12 {name}",
+            not s["certified"] or ratio <= approximator.ACCEPTANCE_FACTOR,
+            f"certified {s['certified']}, error {ratio:.3g}x tol*vscale "
+            f"(Halton {s['halton_error'] / scale:.3g}x), {s['distinct_points']} distinct",
+        ))
+    report(
+        "C12 no false certificate on the point cusps and tight tolerances",
+        not false,
+        f"{len(false)} of {len(cases)} false: {', '.join(false)}",
     )

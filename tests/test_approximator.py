@@ -26,6 +26,7 @@ from tuckercheb.approximator import (
 from tuckercheb.chebyshev import cheb_points
 from tuckercheb.cross import DegenerateInputError
 from tuckercheb.oracle import InstrumentedOracle, SamplingError
+from tuckercheb.serialize import serialize
 
 from known_answers import EXACT_TUCKER_RANKS, check_points, exact_tucker, hidden_bump
 
@@ -162,6 +163,14 @@ class TestBuildBasics:
         assert approx.evaluate(0.2, 0.4, -0.1) == pytest.approx(
             math.sin(0.2) * math.cos(0.3), abs=1e-9
         )
+
+    def test_scalar_and_vectorized_builds_are_the_same_build(self):
+        # f called point by point gets the same batches as f called on arrays
+        fn, cfg = catalog.get("logmix"), ConstructorConfig(tol=1e-10)
+        scalar = build(fn, cfg, vectorized=False)
+        vector = build(fn, cfg, vectorized=True)
+        assert scalar.stats == vector.stats
+        assert serialize(scalar) == serialize(vector)
 
     def test_nan_propagates(self):
         f = np.errstate(divide="ignore", invalid="ignore")(lambda x, y, z: x / (y - y))

@@ -193,14 +193,23 @@ class TestStudies:
 
     @pytest.mark.parametrize("grid, warns", [("100", True), ("257", False)])
     def test_rankdeg_warns_on_coarse_grid(self, monkeypatch, capsys, grid, warns):
-        # the grid rule is checked before sampling; a one-point grid keeps the study cheap
-        monkeypatch.setattr(cli, "cheb_points", lambda n: np.zeros(1))
+        # the grid rule is checked before sampling; test_rankdeg_csv runs the study itself
+        monkeypatch.setattr(cli, "rankdeg", lambda eps_list, tol, grid: [])
         code = cli.main(["study", "rankdeg", "--eps-list", "1e-4", "--grid", grid])
         assert code == cli.OK
         err = capsys.readouterr().err
         assert ("warning" in err) is warns
         if warns:
             assert "--grid 224" in err
+
+    def test_rankdeg_grid_too_large_exit_2(self, monkeypatch, capsys):
+        # 2001^3 doubles exceed the 64e9-byte bound: a usage error, not an I/O one
+        def no_study(*args):
+            raise AssertionError("ran the study on a grid it refuses")
+
+        monkeypatch.setattr(cli, "rankdeg", no_study)
+        assert cli.main(["study", "rankdeg", "--eps-list", "1e-2", "--grid", "2001"]) == cli.ERR_PARSE
+        assert "needs too much memory" in capsys.readouterr().err
 
     def test_rankdeg_bad_eps_exit_2(self, capsys):
         code = cli.main(["study", "rankdeg", "--eps-list", "abc"])
