@@ -21,7 +21,7 @@ from .cross import aca, build_oblique, deim
 from .funcexpr import parse
 from .oracle import InstrumentedOracle
 from .serialize import deserialize, serialize
-from .tensor import hosvd_ranks, matricize, subtensor
+from .tensor import hosvd_ranks, matricize
 
 __all__ = [
     "CATALOG",
@@ -45,7 +45,6 @@ __all__ = [
     "parse",
     "refine_size",
     "serialize",
-    "subtensor",
     "vals_to_coeffs",
 ]
 

@@ -42,7 +42,7 @@ from .chebyshev import (
 )
 from .cross import DegenerateInputError, aca, build_oblique
 from .oracle import InstrumentedOracle
-from .tensor import matricize, subtensor
+from .tensor import matricize
 
 COARSE_SIZE = 17  # the coarse grid is n^3
 RANK_GUESSES = (6, 6)  # modes 2 and 3; phase 1 starts on mode 1
@@ -128,19 +128,6 @@ def grow_size(n):
     return min(grown, MAX_COARSE_SIZE)
 
 
-def _aca_on_matrix(m, tol_rel):
-    """ACA with tolerance relative to the initial residual maximum.
-
-    Falls back to a single first-row/first-column cross if ACA finds no
-    pivot (an identically zero matrix), so downstream machinery always
-    has at least one fiber to work with.
-    """
-    res = aca(m, tol_abs=tol_rel * (float(np.max(np.abs(m))) or 1.0), max_rank=MAX_RANK)
-    if res.rank == 0:
-        return [0], [0]
-    return res.row_indices, res.col_indices
-
-
 def _spread(n, g, t):
     """The t-th draw of initial fiber indices: min(g, n) evenly spread
     indices floor((k + o)*n/g) on an n-point grid, shifted by o, the
@@ -173,8 +160,10 @@ def phase1_factors(oracle, tol, n, first):
         b, c = (m for m in range(3) if m != a)
         sel = list(idx)
         sel[a] = range(n)
-        mat = matricize(subtensor(oracle, (n, n, n), *sel), a + 1)
-        idx[a], cols = _aca_on_matrix(mat, tol)
+        mat = matricize(oracle.eval_grid(*(pts[s] for s in sel)), a + 1)
+        tol_abs = max(tol * float(np.max(np.abs(mat))), np.finfo(float).tiny)
+        res = aca(mat, tol_abs=tol_abs, max_rank=MAX_RANK)
+        idx[a], cols = (res.row_indices, res.col_indices) if res.rank else ([0], [0])
         ranks = tuple(len(i) for i in idx)
         if ranks[a] / n > RANK_RATIO_THRESHOLD:
             return None, ranks
@@ -247,7 +236,8 @@ def phase3_core(oracle, fine_values):
         factor_coeffs.append(vals_to_coeffs(factor))
         deim_rows.append(proj.interp_rows)
         mixing_norms.append(proj.mixing_norm)
-    core = subtensor(oracle, [v.shape[0] for v in fine_values], *deim_rows)
+    grids = (cheb_points(v.shape[0])[rows] for v, rows in zip(fine_values, deim_rows))
+    core = oracle.eval_grid(*grids)
     return TuckerApproximant(core=core, coeffs=tuple(factor_coeffs)), mixing_norms
 
 

@@ -27,10 +27,11 @@ def aca(m, tol_abs, max_rank=None):
     """Adaptive cross approximation with full pivoting.
 
     Greedily picks the entry of largest residual magnitude, records its
-    row and column, and subtracts the rank-1 cross.  Stops once the
-    residual maximum drops below tol_abs, the rank cap is hit, or the
-    pivot is exactly zero.  Ties go to the first maximum in column-major
-    scan order.
+    row and column, and subtracts the rank-1 cross, which multiplies no
+    two entries, so the ranks do not depend on the scale of m.  Stops
+    once the residual maximum drops below tol_abs (> 0, so a zero pivot
+    stops too) or the rank cap is hit.  Ties go to the first maximum in
+    column-major scan order.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
@@ -51,12 +52,12 @@ def aca(m, tol_abs, max_rank=None):
         i = int(flat % nrows)
         j = int(flat // nrows)
         pivot = residual[i, j]
-        if abs(pivot) < tol_abs or pivot == 0.0:
+        if abs(pivot) < tol_abs:
             break
         result.row_indices.append(i)
         result.col_indices.append(j)
         result.pivot_magnitudes.append(abs(pivot))
-        residual -= np.outer(residual[:, j], residual[i, :]) / pivot
+        residual -= np.outer(residual[:, j] / pivot, residual[i, :])
     return result
 
 

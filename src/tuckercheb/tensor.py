@@ -1,5 +1,5 @@
-"""Dense order-3 tensor helpers: unfoldings, oracle-sampled grid
-subtensors, and the truncated-HOSVD ranks that the rank study reports.
+"""Dense order-3 tensor helpers: unfoldings and the truncated-HOSVD
+ranks that the rank study reports.
 
 Matricization convention: the mode-a unfolding has the mode-a fibers as
 columns, ordered with the remaining modes in their original cyclic order
@@ -8,8 +8,6 @@ axes).
 """
 
 import numpy as np
-
-from .chebyshev import cheb_points
 
 
 def matricize(t, mode):
@@ -21,25 +19,6 @@ def matricize(t, mode):
     return np.reshape(np.moveaxis(t, a, 0), (t.shape[a], -1), order="F")
 
 
-def subtensor(oracle, grid_dims, I, J, K):
-    """Evaluate f on selected Chebyshev grid indices through the oracle.
-
-    Returns the |I| x |J| x |K| array of samples; every evaluation is
-    counted and memoized by the oracle.
-    """
-    n1, n2, n3 = grid_dims
-    I = np.asarray(I, dtype=int)
-    J = np.asarray(J, dtype=int)
-    K = np.asarray(K, dtype=int)
-    for idx, n, name in ((I, n1, "I"), (J, n2, "J"), (K, n3, "K")):
-        if idx.size and (idx.min() < 0 or idx.max() >= n):
-            raise ValueError(f"index set {name} out of range for grid size {n}")
-    xs = cheb_points(n1)[I]
-    ys = cheb_points(n2)[J]
-    zs = cheb_points(n3)[K]
-    return oracle.eval_grid(xs, ys, zs)
-
-
 def hosvd_ranks(t, tol):
     """Multilinear ranks of the truncated higher-order SVD.
 
@@ -48,7 +27,7 @@ def hosvd_ranks(t, tol):
     truncating every mode to its rank errs by at most tol*||t||_F.  Only
     singular values are computed.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tolerance must be nonnegative")
     t = np.asarray(t, dtype=float)
     budget = tol * np.linalg.norm(t) / np.sqrt(3)

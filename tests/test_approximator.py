@@ -172,6 +172,24 @@ class TestBuildBasics:
         assert scalar.stats == vector.stats
         assert serialize(scalar) == serialize(vector)
 
+    @pytest.mark.parametrize("k", [-560, 560])
+    def test_scaling_f_by_a_power_of_two_changes_no_rank_or_count(self, k):
+        # every tolerance is relative to f's scale, and 2^k scales exactly
+        fn, cfg = catalog.get("logmix"), ConstructorConfig(tol=1e-10)
+        base = build(fn, cfg)
+        scaled = build(lambda x, y, z: 2.0**k * fn(x, y, z), cfg)
+        for key in ("ranks", "degrees", "evals", "restarts", "coarse_dims",
+                    "mixing_norms", "unresolved_modes"):
+            assert scaled.stats[key] == base.stats[key], key
+        assert scaled.stats["vscale"] == 2.0**k * base.stats["vscale"]
+        np.testing.assert_array_equal(scaled.core, 2.0**k * base.core)
+
+    def test_subnormal_function_builds(self):
+        # tol*max|M| underflows to 0 here; phase 1 stops ACA at the smallest
+        # normal float instead
+        approx = build(lambda x, y, z: 1e-315 * np.exp(x), ConstructorConfig(tol=1e-12))
+        assert approx.ranks == (1, 1, 1)
+
     def test_nan_propagates(self):
         f = np.errstate(divide="ignore", invalid="ignore")(lambda x, y, z: x / (y - y))
         with pytest.raises(SamplingError):
@@ -230,20 +248,14 @@ class TestBuildBehavior:
         # whose rank exceeds RANK_RATIO_THRESHOLD of its size; the grid it
         # keeps runs both sweeps over all three modes
         unfoldings = []  # [grid dims, ACA rank] per phase-1 unfolding, in order
-        real_subtensor, real_aca = approximator.subtensor, approximator._aca_on_matrix
+        real_aca = approximator.aca
 
-        def sampling(oracle, dims, *sel):
-            if oracle.phase == "phase1":
-                unfoldings.append([tuple(dims), None])
-            return real_subtensor(oracle, dims, *sel)
+        def cross(m, **kwargs):
+            res = real_aca(m, **kwargs)
+            unfoldings.append([(m.shape[0],) * 3, res.rank])
+            return res
 
-        def cross(m, tol_rel):
-            rows, cols = real_aca(m, tol_rel)
-            unfoldings[-1][1] = len(rows)
-            return rows, cols
-
-        monkeypatch.setattr(approximator, "subtensor", sampling)
-        monkeypatch.setattr(approximator, "_aca_on_matrix", cross)
+        monkeypatch.setattr(approximator, "aca", cross)
         s = build(catalog.get("logmix"), ConstructorConfig(tol=1e-10)).stats
         assert s["restarts"] == 0
         grids = {}

@@ -60,6 +60,14 @@ class TestAca:
         assert len(res.pivot_magnitudes) == res.rank
         assert all(p > 0 for p in res.pivot_magnitudes)
 
+    @pytest.mark.parametrize("k", [-560, 560])
+    def test_rank_one_at_any_scale(self, k):
+        # no product of two entries is formed, so 2^k*M neither overflows
+        # nor underflows before the pivot divides it
+        x = np.linspace(-1.0, 1.0, 17)
+        m = 2.0**k * np.exp(x[:, None] + x[None, :])
+        assert aca(m, 1e-10 * np.max(np.abs(m))).rank == 1
+
     def test_zero_matrix(self):
         res = aca(np.zeros((4, 4)), 1e-12)
         assert res.rank == 0

@@ -1,9 +1,9 @@
 """Tests for dense tensor utilities and the truncated HOSVD."""
 
 import numpy as np
+import pytest
 
-from tuckercheb.oracle import InstrumentedOracle
-from tuckercheb.tensor import hosvd_ranks, matricize, subtensor
+from tuckercheb.tensor import hosvd_ranks, matricize
 
 
 def random_tensor(shape, seed):
@@ -35,29 +35,6 @@ class TestMatricize:
         assert m[:, 4].tolist() == t[:, 0, 1].tolist()
 
 
-class TestSubtensor:
-    def test_matches_direct_evaluation(self):
-        f = lambda x, y, z: np.cos(x) + y * z
-        oracle = InstrumentedOracle(f)
-        t = subtensor(oracle, (9, 9, 9), [0, 4], range(9), [3])
-        from tuckercheb.chebyshev import cheb_points
-
-        pts = cheb_points(9)
-        expect = f(
-            pts[[0, 4]][:, None, None], pts[None, :, None], pts[[3]][None, None, :]
-        )
-        np.testing.assert_array_equal(t, expect)
-        assert t.shape == (2, 9, 1)
-
-    def test_memoization_across_calls(self):
-        oracle = InstrumentedOracle(lambda x, y, z: x + y + z)
-        subtensor(oracle, (5, 5, 5), range(5), [0], [0])
-        first = oracle.distinct_points
-        subtensor(oracle, (5, 5, 5), range(5), [0], [0])
-        assert oracle.distinct_points == first
-        assert oracle.total_calls == 2 * first
-
-
 class TestHosvd:
     def test_rank_one(self):
         u, v, w = (np.random.default_rng(s).standard_normal(6) for s in (3, 4, 5))
@@ -76,6 +53,11 @@ class TestHosvd:
         ranks = hosvd_ranks(t, 0.0)
         assert all(r <= 4 for r in ranks)
         np.testing.assert_allclose(hosvd_truncation(t, ranks), t, atol=1e-12)
+
+    @pytest.mark.parametrize("tol", [-1e-10, float("nan")])
+    def test_rejects_negative_or_nan_tol(self, tol):
+        with pytest.raises(ValueError, match="nonnegative"):
+            hosvd_ranks(random_tensor((5, 6, 7), 9), tol)
 
     def test_reconstruction_bound(self):
         rng = np.random.default_rng(7)
