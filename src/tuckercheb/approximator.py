@@ -179,7 +179,8 @@ def phase2_refine(oracle, mode_fibers, tol):
 
     mode_fibers holds one (values, coords) pair per mode, in mode order,
     as phase1_factors returns it.  A column is resolved once
-    chebyshev.is_resolved accepts its coefficients at tol.  Each
+    chebyshev.is_resolved accepts its coefficients at tol times the
+    column's own largest sample, as a univariate interpolant is.  Each
     refinement (n -> 2n-1) keeps the old samples at the even indices.
     Only unresolved columns are sampled at the new odd-index points; a
     resolved column takes its new values from its own Chebyshev
@@ -194,7 +195,7 @@ def phase2_refine(oracle, mode_fibers, tol):
         done = np.zeros(vals.shape[1], dtype=bool)
         while True:
             coeffs = vals_to_coeffs(vals)
-            done |= is_resolved(coeffs, tol, oracle.vscale)
+            done |= is_resolved(coeffs, tol, np.max(np.abs(vals), axis=0))
             if done.all():
                 break
             n = refine_size(vals.shape[0])
@@ -277,21 +278,21 @@ def build(f, config=None, vectorized=True):
     best = None  # (err, approx, coarse size, unresolved, mixing_norms)
     restarts = -1  # finished attempts less one; a condemned grid is no attempt
     while restarts < MAX_RESTARTS:
-        oracle.set_phase("phase1")
+        oracle.phase = "phase1"
         first = [_spread(n, g, next(draws)) for g in guesses]
         mode_fibers, ranks = phase1_factors(oracle, tol, n, first)
         if mode_fibers is not None:  # else a rank condemned the grid: no attempt
             restarts += 1
-            oracle.set_phase("phase2")
+            oracle.phase = "phase2"
             fine_values, unresolved = phase2_refine(oracle, mode_fibers, tol)
 
-            oracle.set_phase("phase3_core")
+            oracle.phase = "phase3_core"
             try:
                 approx, mixing_norms = phase3_core(oracle, fine_values)
             except DegenerateInputError:
                 pass  # this attempt has no approximant; the next one grows the grid
             else:
-                oracle.set_phase("verify")
+                oracle.phase = "verify"
                 pts = halton_points(HALTON_COUNT)
                 fvals = oracle.eval_points(pts[:, 0], pts[:, 1], pts[:, 2])
                 err = float(np.max(np.abs(fvals - approx.evaluate_many(pts))))

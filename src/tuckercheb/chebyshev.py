@@ -98,7 +98,8 @@ def is_resolved(coeffs, tol, vscale):
 
     The window covers the last max(3, ceil(0.15*n)) coefficients; series
     shorter than 5 are never considered resolved.  A vector gives a bool;
-    a matrix whose columns are separate series gives one flag per column.
+    a matrix whose columns are separate series gives one flag per column,
+    and vscale may then hold one value per column.
     """
     c = np.asarray(coeffs, dtype=float)
     n = c.shape[0]

@@ -80,10 +80,8 @@ def deim(q):
 
         warnings.warn("deim input columns are not orthonormal", stacklevel=2)
 
-    if np.max(np.abs(q[:, 0])) == 0.0:
-        raise DegenerateInputError("zero column in deim input")
-    indices = [int(np.argmax(np.abs(q[:, 0])))]
-    for k in range(1, r):
+    indices = []
+    for k in range(r):
         c = np.linalg.solve(q[np.ix_(indices, range(k))], q[indices, k])
         resid = q[:, k] - q[:, :k] @ c
         if np.max(np.abs(resid)) == 0.0:

@@ -70,15 +70,6 @@ class InstrumentedOracle:
         self.phase = "init"
         self.counts = {}
 
-    def set_phase(self, name):
-        self.phase = name
-
-    def _bump(self, total, distinct):
-        self.total_calls += total
-        self.distinct_points += distinct
-        t, d = self.counts.get(self.phase, (0, 0))
-        self.counts[self.phase] = (t + total, d + distinct)
-
     def _intern(self, coords):
         """Coordinate ids of coords; unseen values are numbered in sorted order.
 
@@ -135,7 +126,10 @@ class InstrumentedOracle:
             vmax = float(np.max(np.abs(vals)))
             if vmax > self.vscale:
                 self.vscale = vmax
-        self._bump(keys.size, distinct)
+        self.total_calls += keys.size
+        self.distinct_points += distinct
+        t, d = self.counts.get(self.phase, (0, 0))
+        self.counts[self.phase] = (t + keys.size, d + distinct)
         return out
 
     def eval_points(self, xs, ys, zs):
@@ -167,6 +161,3 @@ class InstrumentedOracle:
             return tuple(a[ix] for a, ix in zip(axes, np.unravel_index(flat, shape)))
 
         return self._sample(keys, points, unseen, unseen_ids).reshape(shape)
-
-    def __call__(self, x, y, z):
-        return float(self.eval_points([x], [y], [z])[0])

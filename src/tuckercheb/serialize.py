@@ -52,34 +52,23 @@ def serialize(approx):
     return b"".join(parts)
 
 
-def _take(data, pos, count, what):
-    if pos + count > len(data):
-        raise FormatError(f"truncated stream while reading {what}", pos)
-    return data[pos : pos + count], pos + count
-
-
 def deserialize(data):
     """Decode bytes written by serialize back into a TuckerApproximant."""
-    pos = 0
-    head, pos = _take(data, pos, len(MAGIC), "magic")
-    if head != MAGIC:
+    if data[: len(MAGIC)] != MAGIC:
         raise FormatError("bad magic", 0)
-    raw, pos = _take(data, pos, 28, "header")
-    version, r1, r2, r3, d1, d2, d3 = struct.unpack("<7I", raw)
+    if len(data) < 35:
+        raise FormatError("truncated stream while reading header", 7)
+    version, r1, r2, r3, d1, d2, d3 = struct.unpack_from("<7I", data, 7)
     if version != VERSION:
         raise UnsupportedVersionError(f"unsupported format version {version}", 7)
     if min(r1, r2, r3, d1, d2, d3) == 0:
         raise FormatError("zero rank or degree in header", 7)
-
-    def block(shape, what, pos):
-        raw, new_pos = _take(data, pos, 8 * math.prod(shape), what)
-        arr = np.frombuffer(raw, dtype="<f8").reshape(shape, order="F").copy()
-        return arr, new_pos
-
-    core, pos = block((r1, r2, r3), "core", pos)
-    a_u, pos = block((d1, r1), "mode-1 coefficients", pos)
-    a_v, pos = block((d2, r2), "mode-2 coefficients", pos)
-    a_w, pos = block((d3, r3), "mode-3 coefficients", pos)
-    if pos != len(data):
-        raise FormatError("trailing bytes after payload", pos)
+    shapes = [(r1, r2, r3), (d1, r1), (d2, r2), (d3, r3)]
+    sizes = [math.prod(shape) for shape in shapes]
+    end = 35 + 8 * sum(sizes)
+    if len(data) != end:
+        what = "truncated stream" if len(data) < end else "trailing bytes after payload"
+        raise FormatError(what, min(len(data), end))
+    blocks = np.split(np.frombuffer(data, dtype="<f8", offset=35), np.cumsum(sizes[:3]))
+    core, a_u, a_v, a_w = (b.reshape(s, order="F").copy() for b, s in zip(blocks, shapes))
     return TuckerApproximant(core=core, coeffs=(a_u, a_v, a_w), stats={})

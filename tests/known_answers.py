@@ -12,6 +12,8 @@ POINT_CUSP_SLOPES.  Their error, and that of the TIGHT_CASES catalog
 builds, is what a false certificate is counted on.
 
 hidden_bump is a narrow bump that phase 1's first look misses entirely.
+narrow_gaussian(c) is separable, but its fibers away from the origin
+are tiny: each must be resolved at its own scale, not at f's.
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ EXACT_TUCKER_RANKS = {1: (3, 3, 3), 2: (5, 2, 7), 3: (8, 8, 1), 4: (1, 6, 6), 5:
 POINT_CUSP_SEEDS = range(6)
 POINT_CUSP_SLOPES = (5, 25)
 TIGHT_CASES = (("expdist", 1e-13), ("logmix", 1e-13), ("logmix", 1e-14))  # (catalog name, tol)
+NARROW_GAUSSIANS = ((1000, 1e-8), (3000, 1e-10))  # (c, tol)
 
 
 def exact_tucker(seed):
@@ -60,6 +63,15 @@ def hidden_bump(x, y, z):
     Halton point (0, -1/3, -0.6).  A build that took the first samples for
     the whole function would call it zero and certify that."""
     return np.exp(-1e5 * (x**2 + (y + 1 / 3) ** 2 + (z + 0.6) ** 2))
+
+
+def narrow_gaussian(c):
+    """exp(-c*(x^2 + y^2 + z^2)), for every c in NARROW_GAUSSIANS."""
+
+    def f(x, y, z):
+        return np.exp(-c * (x**2 + y**2 + z**2))
+
+    return f
 
 
 def check_points():

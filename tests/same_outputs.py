@@ -14,13 +14,20 @@ study.  It runs in about 10 s.
 
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
-from known_answers import EXACT_TUCKER_RANKS, exact_tucker, hidden_bump  # noqa: E402
+from known_answers import (  # noqa: E402
+    EXACT_TUCKER_RANKS,
+    NARROW_GAUSSIANS,
+    exact_tucker,
+    hidden_bump,
+    narrow_gaussian,
+)
 
 from tuckercheb import catalog, cli  # noqa: E402
 from tuckercheb.approximator import ConstructorConfig, build  # noqa: E402
@@ -44,6 +51,8 @@ def cases():
     for seed in sorted(EXACT_TUCKER_RANKS):
         yield f"tucker {seed}", exact_tucker(seed), 1e-10, True
     yield "bump", hidden_bump, 1e-10, True
+    for c, tol in NARROW_GAUSSIANS:
+        yield f"gauss{c}@1e{round(math.log10(tol))}", narrow_gaussian(c), tol, True
     yield "zero", lambda x, y, z: 0.0 * x, 1e-10, True
 
 

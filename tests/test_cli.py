@@ -69,10 +69,14 @@ class TestApprox:
         code = cli.main(["approx", "--expr", EXPR, "--tol", "1e-8"])
         assert code == cli.ERR_NOT_CERTIFIED
 
-    def test_bump_missed_by_phase1_exit_4(self, capsys):
-        # known_answers.hidden_bump: only zeros in phase 1's first samples
+    def test_bump_missed_by_phase1_exit_0(self, capsys):
+        # known_answers.hidden_bump: only zeros in phase 1's first samples,
+        # found on a later grid
         expr = "exp(-1e5*(x^2+(y+1/3)^2+(z+0.6)^2))"
-        assert cli.main(["approx", "--expr", expr, "--tol", "1e-10"]) == cli.ERR_NOT_CERTIFIED
+        assert cli.main(["approx", "--expr", expr, "--tol", "1e-10"]) == cli.OK
+
+    def test_spike_uncertified_exit_4(self, capsys):
+        assert cli.main(["approx", "--fn", "spike", "--tol", "1e-10"]) == cli.ERR_NOT_CERTIFIED
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "abc"])
     @pytest.mark.parametrize("argv", [

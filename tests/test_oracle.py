@@ -10,6 +10,10 @@ from tuckercheb.chebyshev import cheb_points
 from tuckercheb.oracle import InstrumentedOracle, SamplingError
 
 
+def at(o, x, y, z):
+    return float(o.eval_points([x], [y], [z])[0])
+
+
 class TestCounting:
     def test_distinct_vs_total(self):
         oracle = InstrumentedOracle(lambda x, y, z: x + y + z)
@@ -42,9 +46,9 @@ class TestCounting:
 
     def test_per_phase_counters(self):
         oracle = InstrumentedOracle(lambda x, y, z: x * y * z)
-        oracle.set_phase("phase1")
+        oracle.phase = "phase1"
         oracle.eval_points([0.0, 0.1], [0.0] * 2, [0.0] * 2)
-        oracle.set_phase("phase2")
+        oracle.phase = "phase2"
         oracle.eval_points([0.0], [0.0], [0.0])
         assert oracle.counts["phase1"] == (2, 2)
         assert oracle.counts["phase2"] == (1, 0)
@@ -68,8 +72,7 @@ class TestGridAndScalar:
 
     def test_scalar_call(self):
         oracle = InstrumentedOracle(lambda x, y, z: x - z)
-        assert oracle(0.5, 0.0, 0.25) == pytest.approx(0.25)
-        assert isinstance(oracle(0.0, 0.0, 0.0), float)
+        assert at(oracle, 0.5, 0.0, 0.25) == pytest.approx(0.25)
 
     def test_non_vectorized(self):
         def scalar_only(x, y, z):
@@ -109,9 +112,6 @@ class DictMemo:
         self.vscale = 0.0
         self.phase = "init"
         self.counts = {}
-
-    def set_phase(self, name):
-        self.phase = name
 
     def eval_points(self, xs, ys, zs):
         xs = np.asarray(xs, dtype=float).ravel()
@@ -214,7 +214,7 @@ class TestSampleStore:
             return 1.0 / x
 
         oracle = InstrumentedOracle(f)
-        oracle.set_phase("a")
+        oracle.phase = "a"
         oracle.eval_points([0.5, -2.0], [0.0, 0.0], [0.0, 0.0])
         before = _state(oracle)
         with pytest.raises(SamplingError) as exc:
@@ -222,10 +222,10 @@ class TestSampleStore:
         assert exc.value.point == (0.0, 0.125, 0.0)
         assert _state(oracle) == before
         # nothing of the failed call was stored: its finite point is a miss
-        assert oracle(0.25, 0.125, 0.0) == 4.0
+        assert at(oracle, 0.25, 0.125, 0.0) == 4.0
         assert oracle.distinct_points == before[1] + 1
         assert calls == [2, 4, 1]
-        assert oracle(0.5, 0.0, 0.0) == 2.0 and calls == [2, 4, 1]
+        assert at(oracle, 0.5, 0.0, 0.0) == 2.0 and calls == [2, 4, 1]
 
     def test_nan_coordinate_raises(self):
         oracle = InstrumentedOracle(lambda x, y, z: x)
@@ -258,14 +258,14 @@ class TestSampleStore:
         oracle = InstrumentedOracle(lambda x, y, z: x + 2 * y + 4 * z)
         oracle.eval_points(vals[:n], vals[n : 2 * n], vals[2 * n :])
         # two fresh coordinates take the last two ids, 2**21 - 2 and 2**21 - 1
-        assert oracle(0.75, 0.875, vals[0]) == 0.75 + 2 * 0.875 + 4 * vals[0]
-        assert oracle(0.875, 0.75, vals[0]) == 0.875 + 2 * 0.75 + 4 * vals[0]
-        assert oracle(0.75, 0.875, vals[0]) == 0.75 + 2 * 0.875 + 4 * vals[0]
+        assert at(oracle, 0.75, 0.875, vals[0]) == 0.75 + 2 * 0.875 + 4 * vals[0]
+        assert at(oracle, 0.875, 0.75, vals[0]) == 0.875 + 2 * 0.75 + 4 * vals[0]
+        assert at(oracle, 0.75, 0.875, vals[0]) == 0.75 + 2 * 0.875 + 4 * vals[0]
         before = _state(oracle)
         with pytest.raises(OverflowError):
-            oracle(0.9375, 0.75, 0.875)
+            at(oracle, 0.9375, 0.75, 0.875)
         assert _state(oracle) == before
-        assert oracle(vals[1], vals[n + 1], vals[2 * n + 1]) == vals[1] + 2 * vals[n + 1] + 4 * vals[2 * n + 1]
+        assert at(oracle, vals[1], vals[n + 1], vals[2 * n + 1]) == vals[1] + 2 * vals[n + 1] + 4 * vals[2 * n + 1]
         assert oracle.distinct_points == n + 2
 
     def test_matches_dict_reference(self):
@@ -276,8 +276,8 @@ class TestSampleStore:
         ref = DictMemo(_recording(log_b))
         for step in range(20):
             phase = f"p{step % 3}"
-            store.set_phase(phase)
-            ref.set_phase(phase)
+            store.phase = phase
+            ref.phase = phase
             kind = step % 4
             if kind == 0:
                 axes = [rng.choice(pool, size=rng.integers(1, 5)) for _ in range(3)]
@@ -315,7 +315,7 @@ class TestGridPath:
         points = InstrumentedOracle(_recording(log_b), vectorized=vectorized)
         for step in range(12):
             for o in (grid, points):
-                o.set_phase(f"p{step % 2}")
+                o.phase = f"p{step % 2}"
             # repeated values within an axis and across calls, signed zeros included
             axes = [rng.choice(pool, size=rng.integers(1, 6)) for _ in range(3)]
             a = grid.eval_grid(*axes)
@@ -341,7 +341,7 @@ class TestGridPath:
         assert np.all(g[:2] == 0.5 - 0.5) and np.all(g[2] == -0.5)
         assert sizes == [6]  # f gets every miss, repeats included, as eval_points does
         assert oracle.distinct_points == 2 and oracle.total_calls == 6
-        assert oracle(0.0, 0.25, -0.0) == -0.5 and sizes == [6]
+        assert at(oracle, 0.0, 0.25, -0.0) == -0.5 and sizes == [6]
 
     def test_empty_axis(self):
         calls = []
@@ -375,7 +375,7 @@ class TestGridPath:
             return 1.0 / (x * y)
 
         oracle = InstrumentedOracle(f)
-        oracle.set_phase("a")
+        oracle.phase = "a"
         oracle.eval_grid([0.5, 0.25], [1.0], [0.0])
         before, store = _state(oracle), _store(oracle)
         with pytest.raises(SamplingError) as exc:
@@ -385,7 +385,7 @@ class TestGridPath:
         assert np.isinf(exc.value.value)
         assert _state(oracle) == before and _store(oracle) == store
         assert calls == [2, 6]
-        assert oracle(0.25, 1.0, 0.5) == 4.0 and oracle.distinct_points == before[1] + 1
+        assert at(oracle, 0.25, 1.0, 0.5) == 4.0 and oracle.distinct_points == before[1] + 1
 
     def test_overflow_changes_nothing(self, monkeypatch):
         monkeypatch.setattr(oracle_module, "_MAX_COORDS", 6)
