@@ -81,16 +81,13 @@ def _print_summary(stats):
 
 def cmd_approx(args):
     try:
-        fn = funcexpr.parse(args.expr if args.expr is not None else catalog.expression(args.fn))
-    except (funcexpr.ParseError, KeyError) as exc:
+        expr = args.expr if args.expr is not None else catalog.expression(args.fn)
+    except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERR_PARSE
+    fn = funcexpr.parse(expr)
     _check_writable(args.out, args.stats)
-    try:
-        approx = build(fn, ConstructorConfig(tol=args.tol))
-    except SamplingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ERR_NAN
+    approx = build(fn, ConstructorConfig(tol=args.tol))
     _print_summary(approx.stats)
     if args.out:
         with open(args.out, "wb") as fh:
@@ -103,12 +100,8 @@ def cmd_approx(args):
 
 
 def cmd_eval(args):
-    try:
-        with open(args.infile, "rb") as fh:
-            approx = deserialize(fh.read())
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ERR_IO
+    with open(args.infile, "rb") as fh:
+        approx = deserialize(fh.read())
 
     if args.at is not None:
         pts = np.array([args.at])
@@ -137,11 +130,7 @@ def cmd_eval(args):
     header = ["x", "y", "z", "fhat"]
     columns = [pts[:, 0], pts[:, 1], pts[:, 2], values]
     if args.compare_expr:
-        try:
-            exact = funcexpr.parse(args.compare_expr)(*pts.T)
-        except funcexpr.ParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return ERR_PARSE
+        exact = funcexpr.parse(args.compare_expr)(*pts.T)
         header.append("abs_error")
         columns.append(np.abs(np.asarray(exact, dtype=float) - values))
 
@@ -154,19 +143,16 @@ def cmd_eval(args):
 def fiber_degree(fn, tol):
     """Max Chebyshev degree over a few representative mode-1 fibers.
 
-    Each fiber is refined from 17 points by the constructor's phase 2
-    until its coefficient tail is resolved at tol relative to the fiber
-    scale, then chopped.
+    The fibers, sampled at 17 points as the columns of one matrix, are
+    refined by the constructor's phase 2 until each is resolved at tol
+    relative to its own scale, then chopped at tol times its own maximum.
     """
-    x = cheb_points(17)
-    best = 0
-    for yz in ((-1.0, -1.0), (0.0, 0.0), (1.0, 1.0)):
-        oracle = InstrumentedOracle(fn)
-        vals = oracle.eval_points(x, np.full(x.size, yz[0]), np.full(x.size, yz[1]))
-        fine, _ = phase2_refine(oracle, [(vals[:, None], np.array([yz]))], tol)
-        coeffs = vals_to_coeffs(fine[0][:, 0])
-        best = max(best, chop_series(coeffs, tol, oracle.vscale).size - 1)
-    return best
+    yz = np.array([(-1.0, -1.0), (0.0, 0.0), (1.0, 1.0)])
+    oracle = InstrumentedOracle(fn)
+    vals = oracle.eval_points(*np.broadcast_arrays(cheb_points(17)[:, None], *yz.T)).reshape(17, 3)
+    (fine,), _ = phase2_refine(oracle, [(vals, yz)], tol)
+    scales = np.max(np.abs(fine), axis=0)
+    return max(chop_series(c, tol, v).size - 1 for c, v in zip(vals_to_coeffs(fine).T, scales))
 
 
 def corner_gap(grid):
@@ -177,7 +163,9 @@ def corner_gap(grid):
 
 def min_grid_for_eps(eps):
     """Smallest grid size whose corner_gap is at most eps (eps > 0)."""
-    return math.ceil(math.pi / (2.0 * math.asin(min(1.0, math.sqrt(eps / 2.0))))) + 1
+    grid = math.ceil(math.pi / (2.0 * math.asin(min(1.0, math.sqrt(eps / 2.0))))) + 1
+    # rounding can land one grid past an exact boundary
+    return grid - 1 if grid > 2 and corner_gap(grid - 1) <= eps else grid
 
 
 def rankdeg(eps_list, tol, grid):
@@ -331,7 +319,13 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
+    except funcexpr.ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return ERR_PARSE
+    except SamplingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return ERR_NAN
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERR_IO
 

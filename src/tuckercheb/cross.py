@@ -1,4 +1,4 @@
-"""Index-selection kernels: full-pivot ACA, DEIM, and oblique projectors."""
+"""Index-selection kernels: full-pivot ACA, DEIM by partial-pivot LU, and oblique projectors."""
 
 from dataclasses import dataclass, field
 
@@ -65,8 +65,9 @@ def deim(q):
     """Discrete empirical interpolation indices for an orthonormal basis.
 
     Returns r distinct row indices such that q[I, :] is invertible;
-    index k is the argmax of the k-th column's interpolation residual.
-    Ties go to the smallest index.
+    index k is the argmax of the k-th column's interpolation residual,
+    which makes them the pivot rows of q's LU with partial pivoting.
+    An exact tie goes to the first row in LAPACK's current row order.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2:
@@ -80,14 +81,11 @@ def deim(q):
 
         warnings.warn("deim input columns are not orthonormal", stacklevel=2)
 
-    indices = []
-    for k in range(r):
-        c = np.linalg.solve(q[np.ix_(indices, range(k))], q[indices, k])
-        resid = q[:, k] - q[:, :k] @ c
-        if np.max(np.abs(resid)) == 0.0:
-            raise DegenerateInputError(f"zero residual at deim step {k}")
-        indices.append(int(np.argmax(np.abs(resid))))
-    return indices
+    perm, _, upper = scipy.linalg.lu(q, p_indices=True)
+    zero = np.flatnonzero(np.diag(upper) == 0.0)
+    if zero.size:
+        raise DegenerateInputError(f"zero residual at deim step {zero[0]}")
+    return np.argsort(perm)[:r].tolist()
 
 
 @dataclass

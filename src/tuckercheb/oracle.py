@@ -18,12 +18,12 @@ re-sort.  The store therefore holds at most 2**21 distinct coordinate
 values; a call that would exceed that raises OverflowError and changes
 nothing.  A NaN coordinate equals no key and raises ValueError.
 
-A grid call builds its keys per axis: it interns the n1 + n2 + n3 axis
-values, broadcasts their ids into the n1*n2*n3 keys, and recovers the
-coordinates of the points it must sample, and only those, from their
-flat positions.  Point and grid calls share one lookup, sampling and
-insertion routine, so a grid and the same points listed one by one give
-f the same batch and leave the same store and counts.
+Point and grid calls share one routine that interns, packs the keys,
+looks them up, samples the misses and inserts them.  A grid call interns
+only its n1 + n2 + n3 axis values, broadcasts their ids into the n1*n2*n3
+keys, and recovers the coordinates of its misses, and only those, from
+their flat positions.  So a grid and the same points listed one by one
+give f the same batch and leave the same store and counts.
 """
 
 import numpy as np
@@ -85,13 +85,18 @@ class InstrumentedOracle:
         cid[~known] = unseen_ids[inverse]
         return cid, unseen, unseen_ids
 
-    def _sample(self, keys, points, unseen, unseen_ids):
-        """Values at packed keys: hits from the store, misses from f.
-
-        points(idx) gives the (xs, ys, zs) arrays of the flat positions
-        idx; it is called for the misses only.  The store and counters
-        change only once every miss has a finite value.
+    def _sample(self, axes, grid):
+        """f at the triples of three flat float arrays or, if grid, on
+        their outer-product grid in C order: hits from the store, misses
+        from f.  The store and counters change only once every miss has
+        a finite value.
         """
+        sizes = [a.size for a in axes]
+        cid, unseen, unseen_ids = self._intern(np.concatenate(axes))
+        i, j, k = np.split(cid, np.cumsum(sizes[:2]))
+        if grid:
+            i, j = i[:, None, None], j[:, None]
+        keys = ((i << (2 * _ID_BITS)) | (j << _ID_BITS) | k).ravel()
         pos, hit = _find(self._keys, keys)
         out = np.empty(keys.size)
         if self._vals.size:
@@ -106,7 +111,7 @@ class InstrumentedOracle:
                 raise OverflowError(
                     f"the sample store holds at most {_MAX_COORDS} distinct coordinate values"
                 )
-            xs, ys, zs = points(miss)
+            xs, ys, zs = map(np.take, axes, np.unravel_index(miss, sizes) if grid else (miss,) * 3)
             vals = np.asarray(self._fn(xs, ys, zs), dtype=float)
             vals = np.broadcast_to(vals, miss.shape).astype(float)
             bad = ~np.isfinite(vals)
@@ -134,15 +139,10 @@ class InstrumentedOracle:
 
     def eval_points(self, xs, ys, zs):
         """Evaluate f at point triples given by parallel flat arrays."""
-        xs = np.asarray(xs, dtype=float).ravel()
-        ys = np.asarray(ys, dtype=float).ravel()
-        zs = np.asarray(zs, dtype=float).ravel()
-        n = xs.size
-        if not n == ys.size == zs.size:
-            raise ValueError(f"xs, ys and zs differ in size: {n}, {ys.size}, {zs.size}")
-        cid, unseen, unseen_ids = self._intern(np.concatenate([xs, ys, zs]))
-        keys = (cid[:n] << (2 * _ID_BITS)) | (cid[n : 2 * n] << _ID_BITS) | cid[2 * n :]
-        return self._sample(keys, lambda i: (xs[i], ys[i], zs[i]), unseen, unseen_ids)
+        axes = [np.asarray(a, dtype=float).ravel() for a in (xs, ys, zs)]
+        if len(set(map(len, axes))) > 1:
+            raise ValueError("xs, ys and zs differ in size: {}, {}, {}".format(*map(len, axes)))
+        return self._sample(axes, grid=False)
 
     def eval_grid(self, xs, ys, zs):
         """Evaluate f on the outer-product grid xs x ys x zs.
@@ -152,12 +152,4 @@ class InstrumentedOracle:
         the axis values are interned once and the keys are broadcast.
         """
         axes = [np.asarray(a, dtype=float).ravel() for a in (xs, ys, zs)]
-        shape = tuple(a.size for a in axes)
-        cid, unseen, unseen_ids = self._intern(np.concatenate(axes))
-        i, j, k = np.split(cid, np.cumsum(shape[:2]))
-        keys = ((i << (2 * _ID_BITS))[:, None, None] | (j << _ID_BITS)[:, None] | k).ravel()
-
-        def points(flat):
-            return tuple(a[ix] for a, ix in zip(axes, np.unravel_index(flat, shape)))
-
-        return self._sample(keys, points, unseen, unseen_ids).reshape(shape)
+        return self._sample(axes, grid=True).reshape([a.size for a in axes])

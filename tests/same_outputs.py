@@ -61,7 +61,7 @@ def main():
         approx = build(f, ConstructorConfig(tol=tol), vectorized=vectorized)
         stats = digest(json.dumps(approx.stats, sort_keys=True).encode())
         print(name, stats, digest(serialize(approx)), approx.stats["distinct_points"])
-    rows = cli.rankdeg([1e-1, 1e-2, 1e-3], 1e-10, 60)
+    rows = cli.rankdeg([1e-1, 1e-2, 1e-3, 1e-4], 1e-10, 60)
     print("rankdeg", digest(repr(rows).encode()), rows)
 
 

@@ -57,6 +57,16 @@ class TestApprox:
     def test_nan_exit_3(self, capsys):
         assert cli.main(["approx", "--expr", "log(x-2)"]) == cli.ERR_NAN
 
+    @pytest.mark.parametrize("error", [KeyError, RuntimeError])
+    def test_internal_error_propagates(self, monkeypatch, error):
+        # only the library's own failures map to exit codes; a bug is no usage error
+        def broken_build(fn, cfg):
+            raise error("internal")
+
+        monkeypatch.setattr(cli, "build", broken_build)
+        with pytest.raises(error, match="internal"):
+            cli.main(["approx", "--expr", EXPR])
+
     def test_uncertified_exit_4(self, monkeypatch, capsys):
         from tuckercheb.approximator import build as real_build
 
@@ -205,6 +215,23 @@ class TestStudies:
         assert ("warning" in err) is warns
         if warns:
             assert "--grid 224" in err
+
+    def test_rankdeg_nan_exit_3(self, monkeypatch, capsys):
+        def nan_study(*args):
+            raise SamplingError((-1.0, -1.0, -1.0), float("inf"))
+
+        monkeypatch.setattr(cli, "rankdeg", nan_study)
+        assert cli.main(["study", "rankdeg", "--eps-list", "1e-1", "--grid", "5"]) == cli.ERR_NAN
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+
+    def test_min_grid_for_eps_is_smallest_grid(self):
+        # an eps exactly at a grid's corner gap is met by that grid
+        for grid in range(3, 5000):
+            assert cli.min_grid_for_eps(cli.corner_gap(grid)) == grid
+        for eps in np.logspace(-12, np.log10(2.0), 10_000):
+            m = cli.min_grid_for_eps(eps)
+            assert cli.corner_gap(m) <= eps
+            assert m == 2 or eps < cli.corner_gap(m - 1)
 
     def test_rankdeg_grid_too_large_exit_2(self, monkeypatch, capsys):
         # 2001^3 doubles exceed the 64e9-byte bound: a usage error, not an I/O one

@@ -84,7 +84,23 @@ class TestAca:
                 aca(np.ones((2, 2)), tol)
 
 
+def deim_loop(q):
+    """DEIM by its greedy definition: one residual solve per column."""
+    indices = []
+    for k in range(q.shape[1]):
+        c = np.linalg.solve(q[np.ix_(indices, range(k))], q[indices, k])
+        resid = q[:, k] - q[:, :k] @ c
+        indices.append(int(np.argmax(np.abs(resid))))
+    return indices
+
+
 class TestDeim:
+    @pytest.mark.parametrize("shape", [(17, 6), (182, 46), (721, 29), (1449, 60)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_greedy_loop_at_phase3_sizes(self, shape, seed):
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(shape))
+        assert deim(q) == deim_loop(q)
+
     def test_identity_basis(self):
         q = np.eye(5)[:, :3]
         assert deim(q) == [0, 1, 2]
