@@ -33,6 +33,7 @@ import numpy as np
 import scipy.linalg
 
 from .chebyshev import (
+    EVAL_BLOCK,
     cheb_points,
     coeffs_to_vals,
     eval_series,
@@ -54,7 +55,6 @@ MAX_RESTARTS = 5
 MAX_FINE_SIZE = 2**14 + 1
 MAX_COARSE_SIZE = 2000
 MAX_RANK = 512
-EVAL_BLOCK = 1 << 20  # entries per evaluation array: points x max(degree, r2*r3), 8 MB
 
 
 @dataclass
@@ -89,19 +89,28 @@ class TuckerApproximant:
         """Evaluate at an (m, 3) array of points, returning shape (m,).
 
         Per block of points: the three bases by eval_series, the core by
-        one GEMM over mode 1, then a reduction over modes 2 and 3.  A block
-        holds at most EVAL_BLOCK entries in each array, at any degree.
+        one GEMM over mode 1, then a reduction over modes 2 and 3.  Blocks
+        are sized by the ranks alone: the three bases of a block hold at
+        most EVAL_BLOCK entries together, and the core product runs over
+        sub-blocks whose (points, r2*r3) array holds at most EVAL_BLOCK.
+        eval_series bounds its own basis by chunking the degrees, so the
+        memory stays bounded at any degree and point count.
         """
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"points must be an (m, 3) array, got shape {pts.shape}")
         r1, r2, r3 = self.core.shape
         core = self.core.reshape(r1, r2 * r3)
-        step = max(1, EVAL_BLOCK // max(*self.degrees, r2 * r3))
+        step = max(1, EVAL_BLOCK // (r1 + r2 + r3))
+        sub = max(1, EVAL_BLOCK // (r2 * r3))
         out = np.empty(len(pts))
         for s in range(0, len(pts), step):
             u, v, w = (eval_series(a, pts[s : s + step, k]) for k, a in enumerate(self.coeffs))
-            out[s : s + step] = np.einsum("mjk,mj,mk->m", (u @ core).reshape(-1, r2, r3), v, w)
+            block = out[s : s + step]
+            for t in range(0, len(block), sub):
+                i = slice(t, t + sub)
+                block[i] = np.einsum("mjk,mj,mk->m", (u[i] @ core).reshape(-1, r2, r3), v[i], w[i])
+            del u, v, w  # the next block's bases are built without these
         return out
 
 

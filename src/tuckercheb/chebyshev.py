@@ -9,10 +9,13 @@ precision.
 import math
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebvander
 from scipy.fft import dct
 
-TRIG_BASIS_POINTS = 64  # eval_series blocks below this size skip chebvander's loop over degrees
+# entries per evaluation array, 8 MB: eval_series's basis chunk (degrees x points),
+# and in TuckerApproximant.evaluate_many the three bases together (points x (r1+r2+r3))
+# and the core product (points x r2*r3)
+EVAL_BLOCK = 1 << 20
+TRIG_BASIS_POINTS = 64  # eval_series calls below this size skip the recurrence over degrees
 
 
 def cheb_points(n):
@@ -70,27 +73,57 @@ def eval_series(coeffs, x):
 
     The result has shape x.shape + coeffs.shape[1:]: a scalar x and a
     vector series give a scalar, and m points with a (d, r) matrix whose
-    columns are separate series give (m, r).  The basis holds x.size * d
-    entries, so callers with many points and a high degree pass them in
-    blocks.
+    columns are separate series give (m, r).
 
     Fewer than TRIG_BASIS_POINTS points, all in [-1, 1], take the basis
     T_k(x) = cos(k * arccos(x)), which costs a few numpy calls at any
-    degree.  Every other call takes numpy's chebvander, which builds the
-    basis one degree at a time and is faster per point on large blocks;
-    it is also the one that extrapolates outside [-1, 1].  The trig basis
-    loses about k*eps in T_k, through the rounding of k * arccos(x); on a
-    slowly decaying series of high degree chebvander is more accurate.
+    degree.  Every other call runs the three-term recurrence over all its
+    points at once, one chunk of degrees at a time (_basis_chunks), and adds
+    each chunk's product with its coefficient rows to the result; so its
+    basis holds at most EVAL_BLOCK entries (or two rows of points) at any
+    degree.  The recurrence is the one numpy's chebvander runs, and it
+    extrapolates outside [-1, 1].  The trig basis loses about k*eps in T_k,
+    through the rounding of k * arccos(x); on a slowly decaying series of
+    high degree the recurrence is more accurate.
     """
     c = np.asarray(coeffs, dtype=float)
     x = np.asarray(x, dtype=float)
     d = c.shape[0]
     if x.size < TRIG_BASIS_POINTS and np.all(np.abs(x) <= 1.0):
-        basis = np.cos(np.multiply.outer(np.arccos(x), np.arange(d)))
+        v = np.cos(np.multiply.outer(np.arccos(x), np.arange(d))) @ c
     else:
-        basis = chebvander(x, d - 1)
-    v = basis @ c
+        chunks = _basis_chunks(x.ravel(), d)
+        _, chunk = next(chunks)
+        # (r, points): this GEMM runs faster than basis.T @ c, but callers
+        # reduce over r per point faster on a C-ordered (points, r) array
+        vt = c[: len(chunk)].T @ chunk
+        for k0, chunk in chunks:
+            vt += c[k0 : k0 + len(chunk)].T @ chunk
+        v = np.ascontiguousarray(vt.T)
     return v.reshape(x.shape + c.shape[1:])[()]
+
+
+def _basis_chunks(t, d):
+    """T_0 .. T_{d-1} at the points t, by T_{k+1} = 2t T_k - T_{k-1}.
+
+    Yields (k0, chunk) with chunk[j] = T_{k0+j}(t), one chunk of degrees
+    at a time.  Every chunk is a view of one buffer of at most EVAL_BLOCK
+    entries (at least two degrees), overwritten by the next.
+    """
+    rows = min(d, max(2, EVAL_BLOCK // t.size))
+    basis = np.empty((rows, t.size))
+    basis[0] = 0.0 * t + 1.0  # a NaN point gives NaN at any degree, as in chebvander
+    if d > 1:
+        basis[1] = t
+    two_t = 2.0 * t
+    for k0 in range(0, d, rows):
+        n = min(rows, d - k0)
+        for j in range(max(0, 2 - k0), n):
+            # at j < 2, rows j - 1 and j - 2 wrap to the last two degrees of the previous chunk
+            row = basis[j]
+            np.multiply(two_t, basis[j - 1], out=row)
+            np.subtract(row, basis[j - 2], out=row)
+        yield k0, basis[:n]
 
 
 def is_resolved(coeffs, tol, vscale):

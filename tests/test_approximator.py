@@ -572,13 +572,16 @@ class TestApproximantEval:
         assert approx.ranks == (1, 1, 1)
         assert approx.degrees == (2, 2, 2)
 
-    # one shape whose block size is set by the degree, one by r2*r3
-    @pytest.mark.parametrize("ranks, degrees", [((3, 4, 5), (1000, 700, 300)), ((2, 40, 40), (60, 50, 40))])
+    # blocks of EVAL_BLOCK // (r1+r2+r3) points for the bases, sub-blocks of
+    # EVAL_BLOCK // (r2*r3) for the core: one shape with sub-blocks inside a block
+    # and a basis of several degree chunks, one whose sub-block is the whole block
+    @pytest.mark.parametrize("ranks, degrees", [((2, 40, 40), (1000, 50, 40)), ((40, 3, 4), (60, 700, 300))])
     def test_blocks_match_clenshaw(self, ranks, degrees):
         rng = np.random.default_rng(20)
         approx = random_approximant(rng, ranks, degrees)
-        step = EVAL_BLOCK // max(*degrees, ranks[1] * ranks[2])
-        for m in (0, 1, step - 1, step, step + 1, 3 * step + 1):
+        step = EVAL_BLOCK // sum(ranks)
+        sub = min(step, EVAL_BLOCK // (ranks[1] * ranks[2]))
+        for m in sorted({0, 1, sub - 1, sub, sub + 1, step - 1, step, step + 1, 2 * step + sub + 1}):
             pts = rng.uniform(-1, 1, (m, 3))
             got = approx.evaluate_many(pts)
             assert got.shape == (m,)
@@ -589,6 +592,7 @@ class TestApproximantEval:
     @pytest.mark.parametrize("ranks, degrees, m", [
         ((2, 2, 2), (16385, 2, 2), 320),  # an unblocked basis: 320 * 16385 * 8 B = 42 MB
         ((2, 64, 64), (8, 8, 8), 4000),  # an unblocked core product: 4000 * 4096 * 8 B = 131 MB
+        ((64, 64, 64), (8, 8, 8), 40_000),  # unblocked bases: 40000 * 192 * 8 B = 61 MB
     ])
     def test_memory_bounded_at_any_point_count(self, ranks, degrees, m):
         approx = random_approximant(np.random.default_rng(21), ranks, degrees)
@@ -613,10 +617,10 @@ class TestApproximantEval:
         pts = np.array([[0.37, -0.81, 0.05], [1.0, 0.0, -1.0]])
         ref = clenshaw_evaluate(approx, pts)
 
-        def refuse(x, deg):
-            raise AssertionError("chebvander called for a small block")
+        def refuse(t, d):
+            raise AssertionError("recurrence run for a small block")
 
-        monkeypatch.setattr(chebyshev, "chebvander", refuse)
+        monkeypatch.setattr(chebyshev, "_basis_chunks", refuse)
         for p, r in zip(pts, ref):
             assert approx.evaluate(*p) == pytest.approx(r, rel=0, abs=1e-13 * np.max(np.abs(ref)))
         np.testing.assert_allclose(approx.evaluate_many(pts), ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))

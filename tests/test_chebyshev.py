@@ -8,6 +8,7 @@ from numpy.polynomial.chebyshev import chebval
 
 from tuckercheb import chebyshev
 from tuckercheb.chebyshev import (
+    EVAL_BLOCK,
     TRIG_BASIS_POINTS,
     cheb_points,
     chop_series,
@@ -164,6 +165,7 @@ class TestEvalSeries:
         np.testing.assert_array_equal(eval_series(np.array([2.5]), x), np.full(6, 2.5))
         np.testing.assert_array_equal(eval_series(np.array([[2.5, -1.0]]), x), np.tile([2.5, -1.0], (6, 1)))
         assert eval_series(np.array([2.5]), 0.7) == 2.5
+        assert np.isnan(eval_series(np.array([2.5]), np.nan))  # as numpy's chebvander gives
 
     def test_outside_interval_matches_clenshaw(self):
         # `tuckercheb eval` warns about points off [-1, 1] but still evaluates them
@@ -201,16 +203,45 @@ class TestEvalSeries:
         np.testing.assert_allclose(eval_series(c, x), chebval(x, c).T, rtol=0, atol=1e-14)
 
     def test_size_rule(self, monkeypatch):
-        # a block below TRIG_BASIS_POINTS never reaches chebvander; a block of that size does
-        def refuse(x, deg):
-            raise AssertionError("chebvander called for a small block")
+        # a block below TRIG_BASIS_POINTS never runs the recurrence over degrees; a block of that size does
+        def refuse(t, d):
+            raise AssertionError("recurrence run for a small block")
 
         c = np.random.default_rng(17).uniform(-1, 1, 16385) / np.arange(1, 16386) ** 2
-        monkeypatch.setattr(chebyshev, "chebvander", refuse)
+        monkeypatch.setattr(chebyshev, "_basis_chunks", refuse)
         x = np.linspace(-1, 1, TRIG_BASIS_POINTS - 1)
         np.testing.assert_allclose(eval_series(c, x), chebval(x, c), rtol=0, atol=1e-13)
         with pytest.raises(AssertionError):
             eval_series(c, np.linspace(-1, 1, TRIG_BASIS_POINTS))
+
+    # the basis of m points is built EVAL_BLOCK // m degrees at a time
+    @pytest.mark.parametrize("m", [5000, 16384])
+    def test_chunk_seams_match_clenshaw(self, m):
+        rows = EVAL_BLOCK // m
+        rng = np.random.default_rng(18)
+        x = rng.uniform(-1, 1, m)
+        x[:4] = [1.0 + 1e-9, -1.001, -1.0, 1.0]  # two points outside [-1, 1] extrapolate
+        for d in (1, 2, rows - 1, rows, rows + 1, rows + 2, 2 * rows + 1):
+            c = rng.uniform(-1, 1, (d, 3)) / np.arange(1, d + 1)[:, None] ** 2
+            ref = chebval(x, c).T
+            tol = dict(rtol=1e-12, atol=1e-13 * np.max(np.abs(ref[2:])))
+            np.testing.assert_allclose(eval_series(c, x), ref, **tol)
+            np.testing.assert_allclose(eval_series(c[:, 0], x), ref[:, 0], **tol)
+            got = eval_series(c, x.reshape(-1, 2))
+            assert got.shape == (m // 2, 2, 3)
+            np.testing.assert_allclose(got.reshape(m, 3), ref, **tol)
+
+    def test_slow_decay_at_degree_16385(self):
+        # coefficients that decay only to 1e-14, on a 10^4-point block, which takes the
+        # recurrence: within 1e-13 relative of a long-double Clenshaw sum on every fifth
+        # point (7.7e-15 measured; 50-point blocks, which take the trig basis, 5.5e-14)
+        d = 16385
+        rng = np.random.default_rng(19)
+        c = rng.uniform(-1, 1, d) * 10.0 ** (-14.0 * np.arange(d) / d)
+        x = rng.uniform(-1, 1, 10_000)
+        ref = chebval(x[::5].astype(np.longdouble), c.astype(np.longdouble))
+        err = np.max(np.abs(eval_series(c, x)[::5] - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-13
 
 
 class TestResolution:
