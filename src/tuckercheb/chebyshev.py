@@ -80,7 +80,7 @@ def eval_series(coeffs, x):
     degree.  Every other call runs the three-term recurrence over all its
     points at once, one chunk of degrees at a time (_basis_chunks), and adds
     each chunk's product with its coefficient rows to the result; so its
-    basis holds at most EVAL_BLOCK entries (or two rows of points) at any
+    basis holds at most EVAL_BLOCK entries (or three rows of points) at any
     degree.  The recurrence is the one numpy's chebvander runs, and it
     extrapolates outside [-1, 1].  The trig basis loses about k*eps in T_k,
     through the rounding of k * arccos(x); on a slowly decaying series of
@@ -108,9 +108,10 @@ def _basis_chunks(t, d):
 
     Yields (k0, chunk) with chunk[j] = T_{k0+j}(t), one chunk of degrees
     at a time.  Every chunk is a view of one buffer of at most EVAL_BLOCK
-    entries (at least two degrees), overwritten by the next.
+    entries (at least three degrees, so that rows j - 1 and j - 2 are
+    never row j), overwritten by the next.
     """
-    rows = min(d, max(2, EVAL_BLOCK // t.size))
+    rows = min(d, max(3, EVAL_BLOCK // t.size))
     basis = np.empty((rows, t.size))
     basis[0] = 0.0 * t + 1.0  # a NaN point gives NaN at any degree, as in chebvander
     if d > 1:

@@ -231,6 +231,14 @@ class TestEvalSeries:
             assert got.shape == (m // 2, 2, 3)
             np.testing.assert_allclose(got.reshape(m, 3), ref, **tol)
 
+    def test_three_row_chunks_above_a_third_of_eval_block(self):
+        # more than EVAL_BLOCK // 3 points: chunks of three degrees, the least for which
+        # the two rows carried into a chunk are not the row being written
+        m = EVAL_BLOCK + 1
+        x = np.linspace(-1, 1, m)
+        c = np.array([0.5, -1.0, 0.75, 0.25, -0.5])
+        np.testing.assert_allclose(eval_series(c, x), chebval(x, c), rtol=0, atol=1e-14)
+
     def test_slow_decay_at_degree_16385(self):
         # coefficients that decay only to 1e-14, on a 10^4-point block, which takes the
         # recurrence: within 1e-13 relative of a long-double Clenshaw sum on every fifth
