@@ -142,7 +142,7 @@ def _spread(n, g, t):
     indices floor((k + o)*n/g) on an n-point grid, shifted by o, the
     base-2 radical inverse of t."""
     g = min(g, n)
-    o = (halton_points(t)[-1, 0] + 1.0) / 2.0
+    o = int(format(t, "b")[::-1], 2) / 2 ** t.bit_length()
     return list(np.floor((np.arange(g) + o) * n / g).astype(int))
 
 

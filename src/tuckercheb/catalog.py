@@ -18,6 +18,12 @@ CATALOG = {
 _SHIFTED_INV = re.compile(r"shifted-inv\(([^)]+)\)$")
 
 
+class UnknownFunction(KeyError):
+    """An unknown catalog name or a bad shifted-inv eps; str() is unquoted."""
+
+    __str__ = Exception.__str__
+
+
 def expression(name):
     """Expression string for a catalog entry.
 
@@ -30,13 +36,12 @@ def expression(name):
         except ValueError:
             eps = math.nan
         if not (math.isfinite(eps) and eps > 0):
-            raise KeyError(f"shifted-inv needs a positive finite eps, got {m.group(1)!r}")
+            raise UnknownFunction(f"shifted-inv needs a positive finite eps, got {m.group(1)!r}")
         return f"1/(x+y+z+3+{eps!r})"
-    try:
-        return CATALOG[name]
-    except KeyError:
+    if name not in CATALOG:
         known = ", ".join(sorted(CATALOG)) + ", shifted-inv(eps)"
-        raise KeyError(f"unknown catalog function {name!r}; known: {known}") from None
+        raise UnknownFunction(f"unknown catalog function {name!r}; known: {known}")
+    return CATALOG[name]
 
 
 def get(name):

@@ -89,6 +89,8 @@ def eval_series(coeffs, x):
     c = np.asarray(coeffs, dtype=float)
     x = np.asarray(x, dtype=float)
     d = c.shape[0]
+    if d == 0:
+        raise ValueError("empty series")
     if x.size < TRIG_BASIS_POINTS and np.all(np.abs(x) <= 1.0):
         v = np.cos(np.multiply.outer(np.arccos(x), np.arange(d))) @ c
     else:

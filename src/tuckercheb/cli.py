@@ -6,10 +6,12 @@ Subcommands:
     study   rankdeg: rank-vs-degree study for the shifted inverse family
     bench   per-function evaluation-count report over the catalog
 
-Exit codes: 0 success, 2 expression/usage error (an eval point outside
-[-1,1]^3 included), 3 non-finite sample, 4 tolerance not certified,
-5 I/O or file-format error (any OSError from a command, such as an
-unreadable input or an unwritable output file).
+Exit codes: 0 success, 2 expression/usage error (an unknown catalog
+name or an eval point outside [-1,1]^3 included), 3 non-finite sample,
+4 tolerance not certified, 5 I/O or file-format error (any OSError from
+a command, such as an unreadable input or an unwritable output file).
+Commands raise where they find a fault; main maps each error to its
+code.  Exit 4 and the per-item exits of bench (3) and eval (5) stay local.
 """
 
 import argparse
@@ -47,6 +49,10 @@ BENCH_COLUMNS = [
 PHASES = ("phase1", "phase2", "phase3_core", "verify")
 
 
+class UsageError(Exception):
+    """A bad option value or eval point, found by a command (exit 2)."""
+
+
 @contextlib.contextmanager
 def _csv_out(path):
     """A csv.writer on the file at path, or on stdout when there is no path."""
@@ -80,12 +86,7 @@ def _print_summary(stats):
 
 
 def cmd_approx(args):
-    try:
-        expr = args.expr if args.expr is not None else catalog.expression(args.fn)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ERR_PARSE
-    fn = funcexpr.parse(expr)
+    fn = funcexpr.parse(args.expr if args.expr is not None else catalog.expression(args.fn))
     _check_writable(args.out, args.stats)
     approx = build(fn, ConstructorConfig(tol=args.tol))
     _print_summary(approx.stats)
@@ -123,8 +124,7 @@ def cmd_eval(args):
     outside = ~np.all(np.abs(pts) <= 1, axis=1)  # NaN is outside too
     if np.any(outside):
         point = tuple(float(v) for v in pts[np.argmax(outside)])
-        print(f"error: point {point} lies outside the domain [-1,1]^3", file=sys.stderr)
-        return ERR_PARSE
+        raise UsageError(f"point {point} lies outside the domain [-1,1]^3")
     values = approx.evaluate_many(pts)
 
     header = ["x", "y", "z", "fhat"]
@@ -189,17 +189,11 @@ def cmd_rankdeg(args):
         if not eps_list:
             raise argparse.ArgumentTypeError("need at least one eps")
     except argparse.ArgumentTypeError as exc:
-        print(f"error: bad --eps-list: {exc}", file=sys.stderr)
-        return ERR_PARSE
+        raise UsageError(f"bad --eps-list: {exc}") from None
     if args.grid < 2:
-        print("error: --grid must be at least 2", file=sys.stderr)
-        return ERR_PARSE
+        raise UsageError("--grid must be at least 2")
     if args.grid ** 3 * 8 > 64e9:
-        print(
-            f"error: grid {args.grid}^3 needs too much memory; use a smaller --grid",
-            file=sys.stderr,
-        )
-        return ERR_PARSE
+        raise UsageError(f"grid {args.grid}^3 needs too much memory; use a smaller --grid")
     eps_min = min(eps_list)
     if corner_gap(args.grid) > eps_min:
         print(
@@ -220,13 +214,8 @@ def cmd_rankdeg(args):
 def cmd_bench(args):
     names = [s.strip() for s in args.fns.split(",") if s.strip()]
     if not names:
-        print("error: bad --fns: need at least one function", file=sys.stderr)
-        return ERR_PARSE
-    try:
-        fns = [catalog.get(name) for name in names]
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ERR_PARSE
+        raise UsageError("bad --fns: need at least one function")
+    fns = [catalog.get(name) for name in names]
     _check_writable(args.out)
     rows = []
     worst = OK
@@ -319,7 +308,7 @@ def main(argv=None):
     args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except funcexpr.ParseError as exc:
+    except (funcexpr.ParseError, catalog.UnknownFunction, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERR_PARSE
     except SamplingError as exc:

@@ -69,27 +69,19 @@ class ParseError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S)"
 )
 
 
 def _tokenize(src):
-    tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            stripped = src[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", len(src) - len(stripped))
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    tokens.append(("end", "", len(src)))
-    return tokens
+    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(src)]
+    for kind, text, pos in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", pos)
+    return tokens + [("end", "", len(src))]
 
 
 def _constant(value):

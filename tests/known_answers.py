@@ -14,6 +14,8 @@ builds, is what a false certificate is counted on.
 hidden_bump is a narrow bump that phase 1's first look misses entirely.
 narrow_gaussian(c) is separable, but its fibers away from the origin
 are tiny: each must be resolved at its own scale, not at f's.
+off_centre_gaussian has mode-2 rank 2, but on the 17^3 coarse grid only
+its y = 0 fibers see the Gaussian, and there its xy term is zero.
 """
 
 import numpy as np
@@ -72,6 +74,12 @@ def narrow_gaussian(c):
         return np.exp(-c * (x**2 + y**2 + z**2))
 
     return f
+
+
+def off_centre_gaussian(x, y, z):
+    """exp(-1000*((x-0.3)^2 + y^2 + z^2)) * (1 + x*y): at tol 1e-8, a build
+    that takes mode 2 for rank 1 errs far above the acceptance bound."""
+    return np.exp(-1000 * ((x - 0.3) ** 2 + y**2 + z**2)) * (1 + x * y)
 
 
 def check_points():

@@ -8,14 +8,19 @@ outputs:
 
 Each build line gives the case name, the SHA-256 prefix of
 json.dumps(stats, sort_keys=True), the SHA-256 prefix of serialize() and
-distinct_points.  The last line hashes the rows of the rank-vs-degree
-study.  It runs in about 10 s.
+distinct_points.  The rankdeg line hashes the rows of the rank-vs-degree
+study.  Each cli line runs one failing command through cli.main and
+gives its exit code and the last line it printed on stderr; the command's
+files are in a fresh directory, written {tmp}.  It runs in about 10 s.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -56,13 +61,44 @@ def cases():
     yield "zero", lambda x, y, z: 0.0 * x, 1e-10, True
 
 
+# failing commands: one per exit-2 check in the front end, then exit 3 and exit 5;
+# {tmp}/sep.tcheb holds the separable-demo build
+FAILURES = (
+    ["approx", "--expr", "sin(x"],
+    ["approx", "--fn", "nope"],
+    ["bench", "--fns", "shifted-inv(0)"],
+    ["bench", "--fns", " , "],
+    ["eval", "--in", "{tmp}/sep.tcheb", "--at", "0", "0", "1.5"],
+    ["study", "rankdeg", "--eps-list", "1e-1,abc"],
+    ["study", "rankdeg", "--eps-list", "1e-1", "--grid", "1"],
+    ["study", "rankdeg", "--eps-list", "1e-1", "--grid", "5000"],
+    ["approx", "--expr", "log(x-2)"],
+    ["eval", "--in", "{tmp}/missing.tcheb", "--at", "0", "0", "0"],
+)
+
+
+def cli_failures(stored):
+    """(argv, exit code, last stderr line) of every command in FAILURES."""
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "sep.tcheb").write_bytes(stored)
+        for argv in FAILURES:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main([a.replace("{tmp}", tmp) for a in argv])
+            yield argv, code, err.getvalue().splitlines()[-1].replace(tmp, "{tmp}")
+
+
 def main():
+    stored = {}
     for name, f, tol, vectorized in cases():
         approx = build(f, ConstructorConfig(tol=tol), vectorized=vectorized)
         stats = digest(json.dumps(approx.stats, sort_keys=True).encode())
-        print(name, stats, digest(serialize(approx)), approx.stats["distinct_points"])
+        stored[name] = serialize(approx)
+        print(name, stats, digest(stored[name]), approx.stats["distinct_points"])
     rows = cli.rankdeg([1e-1, 1e-2, 1e-3, 1e-4], 1e-10, 60)
     print("rankdeg", digest(repr(rows).encode()), rows)
+    for argv, code, last in cli_failures(stored["separable-demo"]):
+        print("cli", " ".join(argv), "->", code, last)
 
 
 if __name__ == "__main__":

@@ -167,6 +167,12 @@ class TestEvalSeries:
         assert eval_series(np.array([2.5]), 0.7) == 2.5
         assert np.isnan(eval_series(np.array([2.5]), np.nan))  # as numpy's chebvander gives
 
+    @pytest.mark.parametrize("m", [TRIG_BASIS_POINTS - 1, TRIG_BASIS_POINTS + 1])
+    def test_empty_series_rejected_by_both_bases(self, m):
+        # as vals_to_coeffs rejects an empty sample vector, whichever basis the point count picks
+        with pytest.raises(ValueError, match="empty series"):
+            eval_series(np.zeros(0), np.linspace(-1, 1, m))
+
     def test_outside_interval_matches_clenshaw(self):
         # `tuckercheb eval` warns about points off [-1, 1] but still evaluates them
         rng = np.random.default_rng(14)

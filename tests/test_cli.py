@@ -54,6 +54,10 @@ class TestApprox:
         assert cli.main(["approx", "--fn", "no-such-fn"]) == cli.ERR_PARSE
         assert cli.main(["approx", "--fn", "shifted-inv(abc)"]) == cli.ERR_PARSE
 
+    def test_unknown_catalog_name_message_unquoted(self, capsys):
+        assert cli.main(["approx", "--fn", "nope"]) == cli.ERR_PARSE
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: unknown catalog function 'nope'; ")
+
     def test_nan_exit_3(self, capsys):
         assert cli.main(["approx", "--expr", "log(x-2)"]) == cli.ERR_NAN
 
@@ -264,6 +268,10 @@ class TestStudies:
 
     def test_bench_unknown_fn_exit_2(self, capsys):
         assert cli.main(["bench", "--fns", "no-such-fn"]) == cli.ERR_PARSE
+
+    def test_bench_bad_shifted_inv_message_unquoted(self, capsys):
+        assert cli.main(["bench", "--fns", "shifted-inv(0)"]) == cli.ERR_PARSE
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: shifted-inv needs ")
 
     @pytest.mark.parametrize("fns", ["", " , "])
     def test_bench_no_functions_exit_2(self, monkeypatch, tmp_path, capsys, fns):

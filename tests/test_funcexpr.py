@@ -84,7 +84,12 @@ class TestParseEval:
         np.testing.assert_allclose(f(x, x, x), x * x + np.cos(x), atol=1e-15)
 
     def test_parse_errors_carry_position(self):
-        for src, pos in (("1+", 2), ("foo(x)", 0), ("sin x", 4), ("1 $ 2", 2)):
+        # tab and no-break space separate tokens as a space does
+        cases = (
+            ("1+", 2), ("foo(x)", 0), ("sin x", 4), ("1 $ 2", 2),
+            ("1\t$ 2", 2), ("sin\u00a0x", 4), ("x\u00a0+\t", 4),
+        )
+        for src, pos in cases:
             with pytest.raises(ParseError) as exc:
                 parse(src)
             assert exc.value.position == pos
