@@ -228,27 +228,24 @@ def phase3_core(oracle, fine_values):
     """QR + DEIM oblique projection and core sampling.
 
     fine_values holds each mode's refined sample matrix, as phase2_refine
-    returns it; its row count is the mode's fine grid size.
+    returns it; its row count is the mode's fine grid size.  Each mode
+    gets one ObliqueProjector on the orthonormal basis of its samples:
+    the factor is basis @ mixing, whose rows at interp_rows are the
+    identity, and the core is f sampled at every mode's interp_rows.
 
     Returns (approximant_without_stats, mixing_norms).  Raises
     DegenerateInputError if a DEIM interpolation matrix is singular.
     """
-    factor_coeffs = []
-    deim_rows = []
-    mixing_norms = []
+    projs = []
     for vals in fine_values:
         q, rmat, _ = scipy.linalg.qr(vals, mode="economic", pivoting=True)
         diag = np.abs(np.diag(rmat))
         keep = max(int(np.sum(diag > 1e-14 * diag.max())), 1)
-        q = q[:, :keep]
-        proj = build_oblique(q)
-        factor = q @ proj.mixing  # rows at proj.interp_rows are the identity
-        factor_coeffs.append(vals_to_coeffs(factor))
-        deim_rows.append(proj.interp_rows)
-        mixing_norms.append(proj.mixing_norm)
-    grids = (cheb_points(v.shape[0])[rows] for v, rows in zip(fine_values, deim_rows))
+        projs.append(build_oblique(q[:, :keep]))
+    coeffs = tuple(vals_to_coeffs(p.basis @ p.mixing) for p in projs)
+    grids = (cheb_points(v.shape[0])[p.interp_rows] for v, p in zip(fine_values, projs))
     core = oracle.eval_grid(*grids)
-    return TuckerApproximant(core=core, coeffs=tuple(factor_coeffs)), mixing_norms
+    return TuckerApproximant(core=core, coeffs=coeffs), [p.mixing_norm for p in projs]
 
 
 def _modified_guesses(ranks):
@@ -282,34 +279,32 @@ def build(f, config=None, vectorized=True):
     oracle = InstrumentedOracle(f, vectorized=vectorized)
     draws = itertools.count(1)
 
-    n = COARSE_SIZE
-    guesses = RANK_GUESSES
+    n, guesses = COARSE_SIZE, RANK_GUESSES  # the next grid and its first rank guesses
     best = None  # (err, approx, coarse size, unresolved, mixing_norms)
     restarts = -1  # finished attempts less one; a condemned grid is no attempt
     while restarts < MAX_RESTARTS:
         oracle.phase = "phase1"
-        first = [_spread(n, g, next(draws)) for g in guesses]
-        mode_fibers, ranks = phase1_factors(oracle, tol, n, first)
-        if mode_fibers is not None:  # else a rank condemned the grid: no attempt
-            restarts += 1
-            oracle.phase = "phase2"
-            fine_values, unresolved = phase2_refine(oracle, mode_fibers, tol)
-
-            oracle.phase = "phase3_core"
-            try:
-                approx, mixing_norms = phase3_core(oracle, fine_values)
-            except DegenerateInputError:
-                pass  # this attempt has no approximant; the next one grows the grid
-            else:
-                oracle.phase = "verify"
-                pts = halton_points(HALTON_COUNT)
-                fvals = oracle.eval_points(pts[:, 0], pts[:, 1], pts[:, 2])
-                err = float(np.max(np.abs(fvals - approx.evaluate_many(pts))))
-                if best is None or err < best[0]:
-                    best = (err, approx, n, unresolved, mixing_norms)
-                if _accepted(err, tol, oracle.vscale):
-                    break
-        n, guesses = grow_size(n), _modified_guesses(ranks)
+        size, first = n, [_spread(n, g, next(draws)) for g in guesses]
+        mode_fibers, ranks = phase1_factors(oracle, tol, size, first)
+        n, guesses = grow_size(size), _modified_guesses(ranks)
+        if mode_fibers is None:
+            continue  # a rank condemned the grid: no attempt
+        restarts += 1
+        oracle.phase = "phase2"
+        fine_values, unresolved = phase2_refine(oracle, mode_fibers, tol)
+        oracle.phase = "phase3_core"
+        try:
+            approx, mixing_norms = phase3_core(oracle, fine_values)
+        except DegenerateInputError:
+            continue  # this attempt has no approximant; the next one grows the grid
+        oracle.phase = "verify"
+        pts = halton_points(HALTON_COUNT)
+        fvals = oracle.eval_points(pts[:, 0], pts[:, 1], pts[:, 2])
+        err = float(np.max(np.abs(fvals - approx.evaluate_many(pts))))
+        if best is None or err < best[0]:
+            best = (err, approx, size, unresolved, mixing_norms)
+        if _accepted(err, tol, oracle.vscale):
+            break
 
     if best is None:
         raise DegenerateInputError("every construction attempt failed in phase 3")

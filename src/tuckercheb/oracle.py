@@ -38,7 +38,7 @@ class SamplingError(RuntimeError):
     def __init__(self, point, value):
         self.point = point
         self.value = value
-        super().__init__(f"f{tuple(point)} = {value} is not finite")
+        super().__init__(f"f{tuple(map(float, point))} = {value} is not finite")
 
 
 def _find(table, queries):

@@ -40,16 +40,10 @@ class UnsupportedVersionError(FormatError):
 
 def serialize(approx):
     """Encode an approximant to bytes; bit-exact round trip."""
-    r1, r2, r3 = approx.ranks
-    d1, d2, d3 = approx.degrees
-    parts = [
-        MAGIC,
-        struct.pack("<7I", VERSION, r1, r2, r3, d1, d2, d3),
-        np.asarray(approx.core, dtype="<f8").ravel(order="F").tobytes(),
-    ]
-    for a in approx.coeffs:
-        parts.append(np.asarray(a, dtype="<f8").ravel(order="F").tobytes())
-    return b"".join(parts)
+    header = struct.pack("<7I", VERSION, *approx.ranks, *approx.degrees)
+    arrays = (approx.core, *approx.coeffs)  # in file order
+    payload = (np.asarray(a, dtype="<f8").ravel(order="F").tobytes() for a in arrays)
+    return b"".join((MAGIC, header, *payload))
 
 
 def deserialize(data):

@@ -2,9 +2,13 @@
 
 A change that is meant to leave every output alone is checked by running
 this script on the change and on its parent, then diffing the two
-outputs:
+outputs.  --src fingerprints another tree's src/ with this script's own
+cases, so both sides print the same list.  Uncommitted changes against HEAD:
 
+    mkdir -p /tmp/parent && git archive HEAD src | tar -x -C /tmp/parent
+    python3 tests/same_outputs.py --src /tmp/parent/src > before.txt
     python3 tests/same_outputs.py > after.txt
+    diff before.txt after.txt
 
 Each build line gives the case name, the SHA-256 prefix of
 json.dumps(stats, sort_keys=True), the SHA-256 prefix of serialize() and
@@ -14,6 +18,7 @@ gives its exit code and the last line it printed on stderr; the command's
 files are in a fresh directory, written {tmp}.  It runs in about 10 s.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -24,7 +29,7 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
+sys.path.insert(0, str(HERE))
 
 from known_answers import (  # noqa: E402
     EXACT_TUCKER_RANKS,
@@ -34,16 +39,12 @@ from known_answers import (  # noqa: E402
     narrow_gaussian,
 )
 
-from tuckercheb import catalog, cli  # noqa: E402
-from tuckercheb.approximator import ConstructorConfig, build  # noqa: E402
-from tuckercheb.serialize import serialize  # noqa: E402
-
 
 def digest(data):
     return hashlib.sha256(data).hexdigest()[:12]
 
 
-def cases():
+def cases(catalog):
     """(name, f, tol, vectorized) of every build that is fingerprinted."""
     for name in sorted(catalog.CATALOG):
         yield name, catalog.get(name), 1e-10, True
@@ -77,7 +78,7 @@ FAILURES = (
 )
 
 
-def cli_failures(stored):
+def cli_failures(cli, stored):
     """(argv, exit code, last stderr line) of every command in FAILURES."""
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "sep.tcheb").write_bytes(stored)
@@ -89,15 +90,26 @@ def cli_failures(stored):
 
 
 def main():
+    parser = argparse.ArgumentParser(description="Fingerprint the constructor's outputs.")
+    parser.add_argument("--src", type=Path, default=HERE.parent / "src",
+                        help="the src/ directory whose tuckercheb is fingerprinted")
+    src = parser.parse_args().src.resolve()
+    if not (src / "tuckercheb").is_dir():
+        parser.error(f"no tuckercheb package in {src}")
+    sys.path.insert(0, str(src))
+    from tuckercheb import catalog, cli
+    from tuckercheb.approximator import ConstructorConfig, build
+    from tuckercheb.serialize import serialize
+
     stored = {}
-    for name, f, tol, vectorized in cases():
+    for name, f, tol, vectorized in cases(catalog):
         approx = build(f, ConstructorConfig(tol=tol), vectorized=vectorized)
         stats = digest(json.dumps(approx.stats, sort_keys=True).encode())
         stored[name] = serialize(approx)
         print(name, stats, digest(stored[name]), approx.stats["distinct_points"])
     rows = cli.rankdeg([1e-1, 1e-2, 1e-3, 1e-4], 1e-10, 60)
     print("rankdeg", digest(repr(rows).encode()), rows)
-    for argv, code, last in cli_failures(stored["separable-demo"]):
+    for argv, code, last in cli_failures(cli, stored["separable-demo"]):
         print("cli", " ".join(argv), "->", code, last)
 
 

@@ -61,6 +61,11 @@ class TestApprox:
     def test_nan_exit_3(self, capsys):
         assert cli.main(["approx", "--expr", "log(x-2)"]) == cli.ERR_NAN
 
+    def test_nan_message_prints_plain_floats(self, capsys):
+        assert cli.main(["approx", "--expr", "log(x-2)"]) == cli.ERR_NAN
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == "error: f(1.0, 0.9807852804032304, 1.0) = nan is not finite"
+
     @pytest.mark.parametrize("error", [KeyError, RuntimeError])
     def test_internal_error_propagates(self, monkeypatch, error):
         # only the library's own failures map to exit codes; a bug is no usage error
