@@ -9,14 +9,16 @@ no more of it.  On a grid it keeps, phase 1 hands phase 2 one
 (values, coords) pair of fiber samples per mode.  Phase 2 refines each
 factor's Chebyshev grid (2n-1 nesting) until every column's coefficient
 tail is resolved; only unresolved columns are sampled, and resolved ones
-are extended by their own interpolant.  Phase 3 orthonormalizes the
-factors, picks interpolation rows by DEIM, samples the r1*r2*r3 core
-entries, and checks the result at Halton points.  build is the one loop
-over coarse grids: a condemned grid and a failed check both move it to
-grow_size(n), whose first index sets on modes 2 and 3 are
-_modified_guesses of the three index-set sizes reached.  It stops when
-the check passes or MAX_RESTARTS restarts are spent, and returns the
-attempt with the lowest Halton error.
+are extended by their own interpolant.  Every attempt but the last fails
+at the first fiber that cannot be resolved within MAX_FINE_SIZE.  Phase 3
+orthonormalizes the factors, picks interpolation rows by DEIM, samples
+the r1*r2*r3 core entries, and checks the result at Halton points.
+build is the one loop over coarse grids: a condemned grid and a failed
+attempt both move it to grow_size(n), whose first index sets on modes 2
+and 3 are _modified_guesses of the three index-set sizes reached.  It
+stops when the check passes or MAX_RESTARTS restarts are spent, and
+returns, of the attempts that ran to the end, the one with the lowest
+Halton error.
 
 The fixed choices of the method are module constants: a 17^3 initial
 coarse grid (COARSE_SIZE), initial rank guesses of 6 on modes 2 and 3
@@ -183,7 +185,7 @@ def phase1_factors(oracle, tol, n, first):
             return fibers, ranks
 
 
-def phase2_refine(oracle, mode_fibers, tol):
+def phase2_refine(oracle, mode_fibers, tol, final=True):
     """Refine each mode's fiber grid until every column is resolved.
 
     mode_fibers holds one (values, coords) pair per mode, in mode order,
@@ -194,9 +196,12 @@ def phase2_refine(oracle, mode_fibers, tol):
     Only unresolved columns are sampled at the new odd-index points; a
     resolved column takes its new values from its own Chebyshev
     interpolant.  A mode's grid grows until its last column is resolved
-    or the next size would exceed MAX_FINE_SIZE.
+    or the next size would exceed MAX_FINE_SIZE.  Unless final, the first
+    mode that reaches that cap ends the refinement: no later mode is
+    refined.
     Returns (fine_values, unresolved_modes): fine_values holds each mode's
-    refined (n, r) sample matrix, whose row count is its fine grid size.
+    refined (n, r) sample matrix, whose row count is its fine grid size,
+    or is None if a mode reached the cap and final is false.
     """
     fine = []
     unresolved = []
@@ -210,6 +215,8 @@ def phase2_refine(oracle, mode_fibers, tol):
             n = refine_size(vals.shape[0])
             if n > MAX_FINE_SIZE:
                 unresolved.append(mode + 1)
+                if not final:
+                    return None, unresolved
                 break
             grown = np.empty((n, done.size))
             grown[0::2] = vals
@@ -271,7 +278,9 @@ def build(f, config=None, vectorized=True):
     """Construct a TuckerApproximant for f on [-1,1]^3.
 
     f may be any callable of three floats (or arrays, if vectorized).
-    The returned approximant is the attempt with the lowest Halton error
+    Every attempt but the last stops at the first fiber phase 2 cannot
+    resolve within MAX_FINE_SIZE.  The returned approximant is, among the
+    attempts that ran to the end, the one with the lowest Halton error,
     and carries construction stats; see the 'certified' flag for whether
     it passed the Halton check.
     """
@@ -281,7 +290,7 @@ def build(f, config=None, vectorized=True):
 
     n, guesses = COARSE_SIZE, RANK_GUESSES  # the next grid and its first rank guesses
     best = None  # (err, approx, coarse size, unresolved, mixing_norms)
-    restarts = -1  # finished attempts less one; a condemned grid is no attempt
+    restarts = -1  # attempts less one, stopped ones included; a condemned grid is no attempt
     while restarts < MAX_RESTARTS:
         oracle.phase = "phase1"
         size, first = n, [_spread(n, g, next(draws)) for g in guesses]
@@ -291,7 +300,9 @@ def build(f, config=None, vectorized=True):
             continue  # a rank condemned the grid: no attempt
         restarts += 1
         oracle.phase = "phase2"
-        fine_values, unresolved = phase2_refine(oracle, mode_fibers, tol)
+        fine_values, unresolved = phase2_refine(oracle, mode_fibers, tol, restarts == MAX_RESTARTS)
+        if fine_values is None:
+            continue  # a fiber reached MAX_FINE_SIZE and a later attempt remains
         oracle.phase = "phase3_core"
         try:
             approx, mixing_norms = phase3_core(oracle, fine_values)
@@ -307,7 +318,9 @@ def build(f, config=None, vectorized=True):
             break
 
     if best is None:
-        raise DegenerateInputError("every construction attempt failed in phase 3")
+        raise DegenerateInputError(
+            "no construction attempt finished: each failed in phase 3 or stopped at MAX_FINE_SIZE"
+        )
     err, approx, coarse_size, unresolved, mixing_norms = best
     approx.stats = {
         "schema_version": 2,

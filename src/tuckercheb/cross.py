@@ -45,19 +45,21 @@ def aca(m, tol_abs, max_rank=None):
     if max_rank is not None:
         cap = min(cap, max_rank)
 
-    residual = m.copy()
+    # the residual is held transposed, so its C order is m's column-major
+    # scan order; scratch takes each step's |residual| and rank-1 cross
+    residual = np.array(m.T, order="C")
+    scratch = np.empty_like(residual)
     result = AcaResult(row_indices=[], col_indices=[])
     while result.rank < cap:
-        flat = np.argmax(np.abs(residual).ravel(order="F"))
-        i = int(flat % nrows)
-        j = int(flat // nrows)
-        pivot = residual[i, j]
+        j, i = divmod(int(np.argmax(np.abs(residual, out=scratch))), nrows)
+        pivot = residual[j, i]
         if abs(pivot) < tol_abs:
             break
         result.row_indices.append(i)
         result.col_indices.append(j)
         result.pivot_magnitudes.append(abs(pivot))
-        residual -= np.outer(residual[:, j] / pivot, residual[i, :])
+        np.multiply.outer(residual[:, i], residual[j, :] / pivot, out=scratch)
+        residual -= scratch
     return result
 
 

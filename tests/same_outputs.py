@@ -54,6 +54,8 @@ def cases(catalog):
         yield f"logmix x2^{k}", lambda x, y, z, k=k: 2.0**k * logmix(x, y, z), 1e-10, True
     for name in ("runge3", "spike"):
         yield f"{name}@1e-12", catalog.get(name), 1e-12, True
+    # an unresolved attempt before the last one was once accepted here
+    yield "runge3@1e-8", catalog.get("runge3"), 1e-8, True
     for seed in sorted(EXACT_TUCKER_RANKS):
         yield f"tucker {seed}", exact_tucker(seed), 1e-10, True
     yield "bump", hidden_bump, 1e-10, True

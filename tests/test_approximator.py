@@ -366,21 +366,46 @@ class TestBuildBehavior:
 
     def test_runge3_counts_pinned(self):
         # four restarts to degree 1449 with the sample store reused across
-        # attempts: every count the memo decides, on a real refinement build
+        # attempts: every count the memo decides, on a real refinement build.
+        # The 65^3, 91^3 and 129^3 attempts stop at their first capped fiber
         s = build(catalog.get("runge3"), ConstructorConfig(tol=1e-10)).stats
         assert s["ranks"] == [19, 19, 19]
         assert s["degrees"] == [1449, 1449, 1449]
         assert s["coarse_dims"] == [182, 182, 182]
         assert s["restarts"] == 4
         assert s["certified"] is True
-        assert s["distinct_points"] == 813169
-        assert s["total_calls"] == 1044164
+        assert s["distinct_points"] == 733240
+        assert s["total_calls"] == 927275
         assert s["evals"] == {
-            "phase1": {"total": 852025, "distinct": 675048},
-            "phase2": {"total": 167786, "distinct": 114107},
-            "phase3_core": {"total": 24203, "distinct": 23984},
-            "verify": {"total": 150, "distinct": 30},
+            "phase1": {"total": 852025, "distinct": 675974},
+            "phase2": {"total": 66134, "distinct": 48241},
+            "phase3_core": {"total": 9056, "distinct": 8995},
+            "verify": {"total": 60, "distinct": 30},
         }
+
+    def test_capped_attempts_skip_phase3_and_verify(self, monkeypatch):
+        # runge3@1e-10 runs phase 3 only on the 46^3 and 182^3 attempts; the
+        # three between them stop in phase 2 at the MAX_FINE_SIZE cap
+        degrees = []
+        real = approximator.phase3_core
+
+        def recording(*args):
+            out = real(*args)
+            degrees.append(out[0].degrees)
+            return out
+
+        monkeypatch.setattr(approximator, "phase3_core", recording)
+        s = build(catalog.get("runge3"), ConstructorConfig(tol=1e-10)).stats
+        assert degrees == [(721, 721, 721), (1449, 1449, 1449)]
+        assert s["restarts"] == 4
+
+    def test_last_attempt_finishes_unresolved(self):
+        # runge3@1e-12's last attempt, on 257^3, reaches the cap in every
+        # mode; being the last, it still runs phase 3 and the check
+        s = build(catalog.get("runge3"), ConstructorConfig(tol=1e-12)).stats
+        assert s["restarts"] == 5
+        assert s["degrees"] == [16385, 16385, 16385]
+        assert s["unresolved_modes"] == [1, 2, 3]
 
     def test_degenerate_tanh_restarts_past_its_rank_one_mode(self, monkeypatch):
         # mode 2 has rank 1, so modes 1 and 3 are bounded by each other's
@@ -434,7 +459,8 @@ class TestBuildBehavior:
 
     def test_uncertified_build_returns_best_attempt(self, monkeypatch):
         # runge3@1e-10 certifies after four restarts; cut at two, the 65^3
-        # attempt has a lower Halton error than the last one on 91^3
+        # attempt stops at the cap, and the 46^3 attempt has a lower Halton
+        # error than the last one on 91^3
         made = []
         real = approximator.phase3_core
 
@@ -448,16 +474,16 @@ class TestBuildBehavior:
         f = catalog.get("runge3")
         approx = build(f, ConstructorConfig(tol=1e-10))
         s = approx.stats
-        assert s["coarse_dims"] == [65, 65, 65]
+        assert s["coarse_dims"] == [46, 46, 46]
         assert s["restarts"] == 2
         assert s["certified"] is False
-        assert s["distinct_points"] == 287729
+        assert s["distinct_points"] == 249071
         pts = halton_points(HALTON_COUNT)
         errs = [float(np.max(np.abs(f(*pts.T) - a.evaluate_many(pts)))) for a in made]
-        assert len(made) == 3 and approx is made[1]
-        assert s["halton_error"] == pytest.approx(errs[1], rel=1e-12)
-        assert s["halton_error"] == pytest.approx(4.52e-8, rel=1e-2)
-        assert errs[2] == pytest.approx(1.52e-6, rel=1e-2)
+        assert len(made) == 2 and approx is made[0]
+        assert s["halton_error"] == pytest.approx(errs[0], rel=1e-12)
+        assert s["halton_error"] == pytest.approx(8.17e-7, rel=1e-2)
+        assert errs[1] == pytest.approx(1.52e-6, rel=1e-2)
 
     def test_condemned_grid_sizes_next_grid_like_a_restart(self, monkeypatch):
         # the 17^3 grid is condemned at ranks (5, 2, 7); the 23^3 grid starts
@@ -500,6 +526,26 @@ class TestBuildBehavior:
         monkeypatch.setattr(approximator, "MAX_RESTARTS", 2)
         with pytest.raises(DegenerateInputError):
             build(separable, ConstructorConfig(tol=1e-10))
+
+    def test_no_finished_attempt_message(self, monkeypatch):
+        # the first attempt stops at the tiny cap and the last one fails in
+        # phase 3, so no attempt finishes, yet not every one reached phase 3
+        calls = []
+
+        def singular(q):
+            calls.append(q.shape)
+            raise DegenerateInputError("singular interpolation matrix")
+
+        monkeypatch.setattr(approximator, "build_oblique", singular)
+        monkeypatch.setattr(approximator, "MAX_FINE_SIZE", 33)
+        monkeypatch.setattr(approximator, "MAX_RESTARTS", 1)
+        f = lambda x, y, z: np.abs(x) + 0.0 * y * z
+        with pytest.raises(DegenerateInputError) as info:
+            build(f, ConstructorConfig(tol=1e-12))
+        assert str(info.value) == (
+            "no construction attempt finished: each failed in phase 3 or stopped at MAX_FINE_SIZE"
+        )
+        assert len(calls) == 1
 
     def test_degrees_match_coeff_shapes(self):
         approx = build(separable, ConstructorConfig(tol=1e-10))
