@@ -55,7 +55,6 @@ ACCEPTANCE_FACTOR = 10.0
 MAX_RESTARTS = 5
 # caps phase-2 refinement only; the coarse grid, and so a fiber, may be larger
 MAX_FINE_SIZE = 2**14 + 1
-MAX_COARSE_SIZE = 2000
 MAX_RANK = 512
 
 
@@ -133,10 +132,8 @@ def halton_points(count):
 
 
 def grow_size(n):
-    """Coarse-grid growth rule: floor(sqrt(2)^floor(2*log2(n)+1)) + 1,
-    capped at MAX_COARSE_SIZE."""
-    grown = int(math.floor(math.sqrt(2.0) ** math.floor(2.0 * math.log2(n) + 1.0))) + 1
-    return min(grown, MAX_COARSE_SIZE)
+    """Coarse-grid growth rule: floor(sqrt(2)^floor(2*log2(n)+1)) + 1."""
+    return int(math.floor(math.sqrt(2.0) ** math.floor(2.0 * math.log2(n) + 1.0))) + 1
 
 
 def _spread(n, g, t):
@@ -153,10 +150,8 @@ def phase1_factors(oracle, tol, n, first):
 
     first holds the first index sets of modes 2 and 3.  After each
     unfolding's ACA, a rank above RANK_RATIO_THRESHOLD of n condemns the
-    grid: no further unfolding of it is sampled.  (MAX_RANK keeps every
-    rank below that share of any grid grow_size cannot enlarge.)  A grid
-    that is kept runs both sweeps; a rank of 1 after the first sweep ends
-    it early.
+    grid: no further unfolding of it is sampled.  A grid that is kept
+    runs both sweeps; a rank of 1 after the first sweep ends it early.
     Returns (mode_fibers, ranks), ranks being the three index-set sizes
     reached.  mode_fibers is None on a condemned grid; otherwise it holds
     one (values, coords) pair per mode, in mode order: values[:, c] is f
@@ -281,8 +276,8 @@ def build(f, config=None, vectorized=True):
     Every attempt but the last stops at the first fiber phase 2 cannot
     resolve within MAX_FINE_SIZE.  The returned approximant is, among the
     attempts that ran to the end, the one with the lowest Halton error,
-    and carries construction stats; see the 'certified' flag for whether
-    it passed the Halton check.
+    and carries construction stats; its 'certified' flag says whether it
+    passed the Halton check with every mode resolved.
     """
     tol = (config if config is not None else ConstructorConfig()).tol
     oracle = InstrumentedOracle(f, vectorized=vectorized)
@@ -331,8 +326,8 @@ def build(f, config=None, vectorized=True):
         "restarts": restarts,
         "vscale": oracle.vscale,
         "halton_error": err,
-        # judged at the final vscale, which the later attempts may have raised
-        "certified": _accepted(err, tol, oracle.vscale),
+        # judged at the final vscale, which later attempts may have raised; never if a mode is unresolved
+        "certified": _accepted(err, tol, oracle.vscale) and not unresolved,
         "unresolved_modes": unresolved,
         "mixing_norms": mixing_norms,
         "evals": {p: {"total": t, "distinct": d} for p, (t, d) in oracle.counts.items()},

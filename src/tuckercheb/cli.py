@@ -8,10 +8,12 @@ Subcommands:
 
 Exit codes: 0 success, 2 expression/usage error (an unknown catalog
 name or an eval point outside [-1,1]^3 included), 3 non-finite sample,
-4 tolerance not certified, 5 I/O or file-format error (any OSError from
-a command, such as an unreadable input or an unwritable output file).
-Commands raise where they find a fault; main maps each error to its
-code.  Exit 4 and the per-item exits of bench (3) and eval (5) stay local.
+4 tolerance not certified, or no approximant (no attempt finished, or a
+sampling call over oracle.MAX_BLOCK points), 5 I/O or file-format error
+(any OSError from a command, such as an unreadable input or an
+unwritable output file).  Commands raise where they find a fault; main
+maps each error to its code.  An uncertified build's exit 4 and the
+per-item exits of bench (3, 4) and eval (5) stay local.
 """
 
 import argparse
@@ -28,6 +30,7 @@ import numpy as np
 from . import catalog, funcexpr
 from .approximator import ConstructorConfig, build, phase2_refine
 from .chebyshev import cheb_points, chop_series, vals_to_coeffs
+from .cross import DegenerateInputError
 from .oracle import InstrumentedOracle, SamplingError
 from .serialize import FormatError, deserialize, serialize
 from .tensor import hosvd_ranks
@@ -223,9 +226,9 @@ def cmd_bench(args):
         start = time.perf_counter()
         try:
             approx = build(fn, ConstructorConfig(tol=args.tol))
-        except SamplingError as exc:
+        except (SamplingError, DegenerateInputError, MemoryError) as exc:
             print(f"error: {name}: {exc}", file=sys.stderr)
-            worst = max(worst, ERR_NAN)
+            worst = max(worst, ERR_NAN if isinstance(exc, SamplingError) else ERR_NOT_CERTIFIED)
             continue
         elapsed = time.perf_counter() - start
         s = approx.stats
@@ -314,6 +317,9 @@ def main(argv=None):
     except SamplingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERR_NAN
+    except (DegenerateInputError, MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return ERR_NOT_CERTIFIED
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERR_IO

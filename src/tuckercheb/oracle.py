@@ -15,8 +15,9 @@ each, and the keys are kept sorted with the values beside them: lookup
 is ``np.searchsorted``, and each call's new keys are merged in with
 ``np.insert`` at their sorted positions, O(N) per call and never a
 re-sort.  The store therefore holds at most 2**21 distinct coordinate
-values; a call that would exceed that raises OverflowError and changes
-nothing.  A NaN coordinate equals no key and raises ValueError.
+values, and a call takes at most MAX_BLOCK = 2**24 points; a call past
+either limit raises OverflowError, or MemoryError before it allocates
+or calls f, and changes nothing.  A NaN coordinate raises ValueError.
 
 Point and grid calls share one routine that interns, packs the keys,
 looks them up, samples the misses and inserts them.  A grid call interns
@@ -30,6 +31,7 @@ import numpy as np
 
 _ID_BITS = 21
 _MAX_COORDS = 1 << _ID_BITS
+MAX_BLOCK = 2**24  # points per sampling call
 
 
 class SamplingError(RuntimeError):
@@ -92,6 +94,9 @@ class InstrumentedOracle:
         a finite value.
         """
         sizes = [a.size for a in axes]
+        shape = sizes if grid else sizes[:1]
+        if np.prod(shape, dtype=float) > MAX_BLOCK:  # a float product cannot wrap round
+            raise MemoryError(f"a call of {' x '.join(map(str, shape))} points exceeds MAX_BLOCK = {MAX_BLOCK}")
         cid, unseen, unseen_ids = self._intern(np.concatenate(axes))
         i, j, k = np.split(cid, np.cumsum(sizes[:2]))
         if grid:

@@ -56,6 +56,8 @@ def cases(catalog):
         yield f"{name}@1e-12", catalog.get(name), 1e-12, True
     # an unresolved attempt before the last one was once accepted here
     yield "runge3@1e-8", catalog.get("runge3"), 1e-8, True
+    # every attempt but the last stops at MAX_FINE_SIZE; the last ends unresolved
+    yield "abs(x)", lambda x, y, z: abs(x), 1e-10, True
     for seed in sorted(EXACT_TUCKER_RANKS):
         yield f"tucker {seed}", exact_tucker(seed), 1e-10, True
     yield "bump", hidden_bump, 1e-10, True

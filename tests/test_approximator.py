@@ -9,12 +9,12 @@ import pytest
 from numpy.polynomial.chebyshev import chebval
 
 from tuckercheb import approximator, catalog, chebyshev
+from tuckercheb import oracle as oracle_module
 from tuckercheb.approximator import (
     ACCEPTANCE_FACTOR,
     COARSE_SIZE,
     EVAL_BLOCK,
     HALTON_COUNT,
-    MAX_COARSE_SIZE,
     MAX_RANK,
     RANK_RATIO_THRESHOLD,
     ConstructorConfig,
@@ -90,12 +90,9 @@ class TestHelpers:
 
     def test_grow_size_chain(self):
         sizes = [17]
-        for _ in range(8):
+        for _ in range(14):
             sizes.append(grow_size(sizes[-1]))
-        assert sizes == [17, 23, 33, 46, 65, 91, 129, 182, 257]
-
-    def test_grow_size_capped(self):
-        assert grow_size(1449) == grow_size(MAX_COARSE_SIZE) == MAX_COARSE_SIZE
+        assert sizes == [17, 23, 33, 46, 65, 91, 129, 182, 257, 363, 513, 725, 1025, 1449, 2049]
 
     def test_grid_grows_while_max_rank_can_condemn_it(self):
         # phase 1 condemns a grid whose rank exceeds RANK_RATIO_THRESHOLD of n;
@@ -406,6 +403,7 @@ class TestBuildBehavior:
         assert s["restarts"] == 5
         assert s["degrees"] == [16385, 16385, 16385]
         assert s["unresolved_modes"] == [1, 2, 3]
+        assert s["certified"] is False
 
     def test_degenerate_tanh_restarts_past_its_rank_one_mode(self, monkeypatch):
         # mode 2 has rank 1, so modes 1 and 3 are bounded by each other's
@@ -546,6 +544,12 @@ class TestBuildBehavior:
             "no construction attempt finished: each failed in phase 3 or stopped at MAX_FINE_SIZE"
         )
         assert len(calls) == 1
+
+    def test_sampling_call_over_max_block_raises(self, monkeypatch):
+        # coshinv@1e-10's largest phase-1 block has 376,740 points
+        monkeypatch.setattr(oracle_module, "MAX_BLOCK", 100_000)
+        with pytest.raises(MemoryError, match="MAX_BLOCK"):
+            build(catalog.get("coshinv"), ConstructorConfig(tol=1e-10))
 
     def test_degrees_match_coeff_shapes(self):
         approx = build(separable, ConstructorConfig(tol=1e-10))

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from tuckercheb import cli
+from tuckercheb import approximator, cli, oracle
+from tuckercheb.cross import DegenerateInputError
 from tuckercheb.oracle import SamplingError
 from tuckercheb.serialize import deserialize
 
@@ -96,6 +97,37 @@ class TestApprox:
 
     def test_spike_uncertified_exit_4(self, capsys):
         assert cli.main(["approx", "--fn", "spike", "--tol", "1e-10"]) == cli.ERR_NOT_CERTIFIED
+
+    def test_sampling_call_over_max_block_exit_4(self, monkeypatch, tmp_path, capsys):
+        # logmix@1e-10's largest sampling call has 61,425 points
+        monkeypatch.setattr(oracle, "MAX_BLOCK", 60_000)
+        out = tmp_path / "logmix.tcheb"
+        argv = ["approx", "--fn", "logmix", "--tol", "1e-10", "--out", str(out)]
+        assert cli.main(argv) == cli.ERR_NOT_CERTIFIED
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error: ") and "MAX_BLOCK" in last
+        assert not out.exists()
+        # bench reports the function and goes on to the next; it writes no file
+        argv = ["bench", "--fns", "logmix,separable-demo", "--tol", "1e-10", "--out", str(out)]
+        assert cli.main(argv) == cli.ERR_NOT_CERTIFIED
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: logmix: ") and "MAX_BLOCK" in captured.err
+        assert "separable-demo" in captured.out
+        assert not out.exists()
+
+    def test_no_finished_attempt_exit_4(self, monkeypatch, capsys):
+        # the first attempt stops at the tiny cap and the last one fails in phase 3
+        def singular(q):
+            raise DegenerateInputError("singular interpolation matrix")
+
+        monkeypatch.setattr(approximator, "build_oblique", singular)
+        monkeypatch.setattr(approximator, "MAX_FINE_SIZE", 33)
+        monkeypatch.setattr(approximator, "MAX_RESTARTS", 1)
+        code = cli.main(["approx", "--expr", "abs(x)+0*y*z", "--tol", "1e-12"])
+        assert code == cli.ERR_NOT_CERTIFIED
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: no construction attempt finished: each failed in phase 3 or stopped at MAX_FINE_SIZE"
+        )
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "abc"])
     @pytest.mark.parametrize("argv", [

@@ -399,6 +399,29 @@ class TestGridPath:
         assert oracle.eval_grid([0.1], [0.6], [0.5])[0, 0, 0] == pytest.approx(1.2)
         assert oracle.eval_grid([0.2, 0.1], [0.4, 0.3], [0.5]).shape == (2, 2, 1)
 
+    def test_call_over_max_block_changes_nothing(self, monkeypatch):
+        monkeypatch.setattr(oracle_module, "MAX_BLOCK", 100)
+        calls = []
+
+        def f(x, y, z):
+            calls.append(x.size)
+            return x + y + z
+
+        oracle = InstrumentedOracle(f)
+        oracle.phase = "a"
+        oracle.eval_grid([0.1, 0.2], [0.3], [0.5])
+        before, store = _state(oracle), _store(oracle)
+        ax = cheb_points(5)
+        with pytest.raises(MemoryError, match=r"5 x 5 x 5 points exceeds MAX_BLOCK = 100"):
+            oracle.eval_grid(ax, ax, ax)
+        with pytest.raises(MemoryError, match=r"101 points exceeds MAX_BLOCK = 100"):
+            oracle.eval_points(*np.zeros((3, 101)))
+        assert calls == [2]
+        assert _state(oracle) == before and _store(oracle) == store
+        # a call of 100 points is within the budget
+        assert oracle.eval_grid(ax[:4], ax, ax).shape == (4, 5, 5)
+        assert calls == [2, 100]
+
     def test_grid_builds_no_coordinate_grid(self):
         # A meshgrid holds 3*N coordinates beside the N keys of any lookup,
         # 4 * 8N bytes in all; a stored grid must be looked up in less
