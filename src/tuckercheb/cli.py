@@ -1,19 +1,22 @@
 """Command-line front end.
 
 Subcommands:
-    approx  build an approximant from --expr or --fn and write it to disk
+    approx  build an approximant from --expr or --fn; print the stats JSON
+            that --stats writes, and write the approximant to --out
     eval    evaluate a stored approximant at points
     study   rankdeg: rank-vs-degree study for the shifted inverse family
-    bench   per-function evaluation-count report over the catalog
+    bench   per-function evaluation-count CSV over the catalog, written to
+            --out when every function was built and to stdout otherwise
 
 Exit codes: 0 success, 2 expression/usage error (an unknown catalog
 name or an eval point outside [-1,1]^3 included), 3 non-finite sample,
 4 tolerance not certified, or no approximant (no attempt finished, or a
 sampling call over oracle.MAX_BLOCK points), 5 I/O or file-format error
 (any OSError from a command, such as an unreadable input or an
-unwritable output file).  Commands raise where they find a fault; main
-maps each error to its code.  An uncertified build's exit 4 and the
-per-item exits of bench (3, 4) and eval (5) stay local.
+unwritable output file, or a malformed eval points file).  Commands
+raise where they find a fault; main maps each error to its code.  Only
+two exits are chosen inside a command: an uncertified build's exit 4,
+and bench's per-function report (3, 4).
 """
 
 import argparse
@@ -48,7 +51,7 @@ BENCH_COLUMNS = [
     "total", "distinct", "halton_error", "wall_time_s",
 ]
 
-# stats["evals"] keys, in the order of the summary lines and the bench columns
+# stats["evals"] keys, in the order of the bench columns
 PHASES = ("phase1", "phase2", "phase3_core", "verify")
 
 
@@ -74,32 +77,18 @@ def _check_writable(*paths):
             os.remove(path)
 
 
-def _print_summary(stats):
-    ev = stats["evals"]
-    print(f"ranks     : {tuple(stats['ranks'])}")
-    print(f"degrees   : {tuple(stats['degrees'])}")
-    print(f"restarts  : {stats['restarts']}")
-    print(f"evals     : total {stats['total_calls']}, distinct {stats['distinct_points']}")
-    for phase in PHASES:
-        if phase in ev:
-            print(f"  {phase:<11}: total {ev[phase]['total']}, distinct {ev[phase]['distinct']}")
-    print(f"halton err: {stats['halton_error']:.3e} (certified: {stats['certified']})")
-    if stats["unresolved_modes"]:
-        print(f"warning   : unresolved modes {stats['unresolved_modes']}")
-
-
 def cmd_approx(args):
     fn = funcexpr.parse(args.expr if args.expr is not None else catalog.expression(args.fn))
     _check_writable(args.out, args.stats)
     approx = build(fn, ConstructorConfig(tol=args.tol))
-    _print_summary(approx.stats)
+    text = json.dumps(approx.stats, indent=2) + "\n"
+    sys.stdout.write(text)
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(serialize(approx))
     if args.stats:
         with open(args.stats, "w") as fh:
-            json.dump(approx.stats, fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
     return OK if approx.stats["certified"] else ERR_NOT_CERTIFIED
 
 
@@ -121,8 +110,7 @@ def cmd_eval(args):
                     rows.append([float(v) for v in row])
             pts = np.array(rows).reshape(-1, 3)  # a file of comments only has no rows
         except ValueError as exc:
-            print(f"error: malformed points file: {exc}", file=sys.stderr)
-            return ERR_IO
+            raise FormatError(f"malformed points file: {exc}") from None
 
     outside = ~np.all(np.abs(pts) <= 1, axis=1)  # NaN is outside too
     if np.any(outside):
@@ -242,14 +230,10 @@ def cmd_bench(args):
         if not s["certified"]:
             worst = max(worst, ERR_NOT_CERTIFIED)
 
-    if args.out and len(rows) == len(names):  # every function was built
-        with _csv_out(args.out) as writer:
-            writer.writerow(BENCH_COLUMNS)
-            writer.writerows(rows)
-    widths = [max(len(str(r[i])) for r in rows + [BENCH_COLUMNS]) for i in range(len(BENCH_COLUMNS))]
-    print("  ".join(c.ljust(w) for c, w in zip(BENCH_COLUMNS, widths)))
-    for r in rows:
-        print("  ".join(str(v).ljust(w) for v, w in zip(r, widths)))
+    # --out only when every function was built; stdout otherwise
+    with _csv_out(args.out if len(rows) == len(names) else None) as writer:
+        writer.writerow(BENCH_COLUMNS)
+        writer.writerows(rows)
     return worst
 
 
@@ -302,7 +286,7 @@ def make_parser():
     pb = sub.add_parser("bench", help="evaluation-count report")
     pb.add_argument("--fns", required=True, help="comma-separated catalog names")
     pb.add_argument("--tol", type=_tol, default=1e-12)
-    pb.add_argument("--out", help="CSV output path")
+    pb.add_argument("--out", help="CSV output path, written when every function was built (default stdout)")
     pb.set_defaults(func=cmd_bench)
     return p
 

@@ -27,11 +27,12 @@ VERSION = 1
 
 
 class FormatError(ValueError):
-    """Malformed approximant stream; position is the byte offset."""
+    """Malformed input file; position is the byte offset in an approximant
+    stream, or None for a file that is not a .tcheb stream."""
 
-    def __init__(self, message, position):
+    def __init__(self, message, position=None):
         self.position = position
-        super().__init__(f"{message} (at byte {position})")
+        super().__init__(message if position is None else f"{message} (at byte {position})")
 
 
 class UnsupportedVersionError(FormatError):

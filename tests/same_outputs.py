@@ -15,7 +15,9 @@ json.dumps(stats, sort_keys=True), the SHA-256 prefix of serialize() and
 distinct_points.  The rankdeg line hashes the rows of the rank-vs-degree
 study.  Each cli line runs one failing command through cli.main and
 gives its exit code and the last line it printed on stderr; the command's
-files are in a fresh directory, written {tmp}.  It runs in about 10 s.
+files are in a fresh directory, written {tmp}.  The commands cover every
+exit-2 check of the front end, a non-finite sample (exit 3), and a missing
+approximant and a malformed points file (exit 5).  It runs in about 10 s.
 """
 
 import argparse
@@ -37,6 +39,7 @@ from known_answers import (  # noqa: E402
     exact_tucker,
     hidden_bump,
     narrow_gaussian,
+    off_centre_gaussian,
 )
 
 
@@ -63,11 +66,13 @@ def cases(catalog):
     yield "bump", hidden_bump, 1e-10, True
     for c, tol in NARROW_GAUSSIANS:
         yield f"gauss{c}@1e{round(math.log10(tol))}", narrow_gaussian(c), tol, True
+    # a false certificate: mode 2 looks like rank 1 on the coarse grid
+    yield "off-centre gauss@1e-8", off_centre_gaussian, 1e-8, True
     yield "zero", lambda x, y, z: 0.0 * x, 1e-10, True
 
 
-# failing commands: one per exit-2 check in the front end, then exit 3 and exit 5;
-# {tmp}/sep.tcheb holds the separable-demo build
+# failing commands: one per exit-2 check in the front end, then exit 3 and two exit 5s;
+# {tmp}/sep.tcheb holds the separable-demo build and {tmp}/bad.csv a row of two columns
 FAILURES = (
     ["approx", "--expr", "sin(x"],
     ["approx", "--fn", "nope"],
@@ -79,6 +84,7 @@ FAILURES = (
     ["study", "rankdeg", "--eps-list", "1e-1", "--grid", "5000"],
     ["approx", "--expr", "log(x-2)"],
     ["eval", "--in", "{tmp}/missing.tcheb", "--at", "0", "0", "0"],
+    ["eval", "--in", "{tmp}/sep.tcheb", "--points", "{tmp}/bad.csv"],
 )
 
 
@@ -86,6 +92,7 @@ def cli_failures(cli, stored):
     """(argv, exit code, last stderr line) of every command in FAILURES."""
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "sep.tcheb").write_bytes(stored)
+        Path(tmp, "bad.csv").write_text("0.1,0.2\n")
         for argv in FAILURES:
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

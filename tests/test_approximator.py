@@ -615,6 +615,19 @@ class TestKnownAnswers:
         err = np.max(np.abs(off_centre_gaussian(*pts.T) - approx.evaluate_many(pts)))
         assert not (s["certified"] and err > ACCEPTANCE_FACTOR * tol * s["vscale"])
 
+    @pytest.mark.xfail(strict=True, reason="item 13: a stored-sample check would see this error")
+    def test_expdist_stored_sample_not_falsely_certified(self):
+        # (p, p, 1) lies on the coarse grid next to expdist's cusp corner,
+        # so phase 1 sampled f there
+        f = catalog.get("expdist")
+        tol = 1e-10
+        approx = build(f, ConstructorConfig(tol=tol))
+        s = approx.stats
+        assert s["coarse_dims"] == [91] * 3
+        p = cheb_points(91)[1]
+        err = abs(approx.evaluate(p, p, 1.0) - f(p, p, 1.0))
+        assert not (s["certified"] and err > ACCEPTANCE_FACTOR * tol * s["vscale"])
+
 
 class TestApproximantEval:
     @pytest.mark.parametrize("pts", [[[0.1, 0.2, 0.3, 0.9]], [0.1, 0.2, 0.3], np.zeros((4, 2)), 0.5])

@@ -1,6 +1,7 @@
 """Tests for the command-line front end (exit codes, CSV schemas)."""
 
 import csv
+import io
 import json
 
 import numpy as np
@@ -49,6 +50,12 @@ class TestApprox:
         assert code == cli.OK
         text = capsys.readouterr().out
         assert "ranks" in text and "certified" in text
+
+    def test_prints_the_stats_json_it_writes(self, tmp_path, capsys):
+        out, stats = tmp_path / "sep.tcheb", tmp_path / "sep.json"
+        argv = ["approx", "--fn", "separable-demo", "--tol", "1e-8", "--out", str(out), "--stats", str(stats)]
+        assert cli.main(argv) == cli.OK
+        assert capsys.readouterr().out == stats.read_text()
 
     def test_parse_error_exit_2(self, capsys):
         assert cli.main(["approx", "--expr", "sin(x"]) == cli.ERR_PARSE
@@ -216,6 +223,8 @@ class TestEval:
         pts = tmp_path / "pts.csv"
         pts.write_text("0.1,0.2\n")
         assert cli.main(["eval", "--in", str(out), "--points", str(pts)]) == cli.ERR_IO
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == "error: malformed points file: line 1: expected 3 columns, got 2"
 
     def test_outside_domain_exit_2(self, stored, tmp_path, capsys):
         out, _ = stored
@@ -302,6 +311,18 @@ class TestStudies:
         assert len(rows) == 1
         assert rows[0][0] == "separable-demo"
         assert int(rows[0][header.index("certified")]) == 1
+
+    def test_bench_prints_csv_without_out(self, tmp_path, capsys):
+        argv = ["bench", "--fns", "separable-demo", "--tol", "1e-8"]
+        assert cli.main(argv) == cli.OK
+        header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert header == cli.BENCH_COLUMNS
+        assert len(rows) == 1 and len(rows[0]) == len(cli.BENCH_COLUMNS)
+        assert rows[0][0] == "separable-demo"
+        out = tmp_path / "bench.csv"
+        assert cli.main([*argv, "--out", str(out)]) == cli.OK
+        assert capsys.readouterr().out == ""
+        assert read_csv(out)[0] == cli.BENCH_COLUMNS
 
     def test_bench_unknown_fn_exit_2(self, capsys):
         assert cli.main(["bench", "--fns", "no-such-fn"]) == cli.ERR_PARSE
